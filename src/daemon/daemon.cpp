@@ -2,14 +2,9 @@
 
 #include <algorithm>
 #include <fstream>
-#include <set>
 #include <sstream>
-#include <thread>
-#include <variant>
 
 #include "dtx/inspector.hpp"
-#include "dtx/recovery.hpp"
-#include "dtx/wal.hpp"
 #include "lock/protocol.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
@@ -199,11 +194,6 @@ Result<DaemonConfig> config_from_flags(const util::Flags& flags) {
   config.site.replication = static_cast<std::size_t>(flags.get_int(
       "replication", static_cast<std::int64_t>(config.site.replication)));
 
-  config.connect_wait = std::chrono::milliseconds(
-      flags.get_int("connect_wait_ms", config.connect_wait.count()));
-  config.sync_timeout = std::chrono::milliseconds(
-      flags.get_int("sync_timeout_ms", config.sync_timeout.count()));
-
   auto protocol =
       lock::parse_protocol_kind(flags.get_string("protocol", "xdgl"));
   if (!protocol) return protocol.status();
@@ -251,27 +241,24 @@ Daemon::~Daemon() { stop(); }
 Status Daemon::start() {
   Status up = network_.start();
   if (!up) return up;
-  Status cataloged = load_or_boot_catalog();
-  if (!cataloged) return cataloged;
-  if (config_.join && catalog_.epoch() == 0) {
-    // First boot of a joiner: no durable catalog yet — run the handshake.
-    // (A restart resumes from the durable epoch instead; the engine's
-    // fence + pull path finishes any interrupted migration.)
-    Status joined = run_join_handshake();
-    if (!joined) return joined;
-  } else {
-    Status seeded = seed_documents();
-    if (!seeded) return seeded;
-    Status recovered = recover_documents();
-    if (!recovered) return recovered;
-  }
   site_ = std::make_unique<core::Site>(config_.site, network_, catalog_,
                                        store_);
-  Status started = site_->start();
+  Status started = Status::ok();
+  if (store_.exists(core::SiteContext::kCatalogKey)) {
+    // A membership-managed restart: the durable epoch governs, the boot
+    // flags (--join, --load) are history.
+    started = site_->start(core::Site::Startup::kRecover);
+  } else if (config_.join) {
+    started = site_->join(config_.join_seed, advertise_address());
+  } else {
+    started = seed_documents();
+    if (started) started = site_->start(core::Site::Startup::kRecover);
+  }
   if (!started) return started;
   DTX_INFO() << "dtxd: site " + std::to_string(config_.site.id) +
                      " serving on port " +
-                     std::to_string(network_.listen_port());
+                     std::to_string(network_.listen_port()) +
+                     " at catalog epoch " + std::to_string(catalog_.epoch());
   return Status::ok();
 }
 
@@ -282,6 +269,9 @@ void Daemon::stop() {
     const core::SiteStats stats = site_->stats();
     DTX_INFO() << "dtxd: site " + std::to_string(config_.site.id) + " " +
                       core::describe_tcp(network_.tcp_stats()) +
+                      " | recovery: log_suffix_syncs=" +
+                      std::to_string(stats.log_suffix_syncs) +
+                      " full_syncs=" + std::to_string(stats.full_syncs) +
                       " | placement: catalog_epoch=" +
                       std::to_string(stats.catalog_epoch) +
                       " stale_catalog_aborts=" +
@@ -293,113 +283,15 @@ void Daemon::stop() {
 }
 
 void Daemon::begin_decommission() {
-  if (site_ == nullptr) return;
-  // The decommission order is a JoinRequest naming the site itself,
-  // self-sent through the transport so it runs on the dispatcher like any
-  // operator-issued admin message.
-  network_.send(net::Message{config_.site.id, config_.site.id,
-                             net::JoinRequest{config_.site.id, ""}});
+  if (site_ != nullptr) site_->begin_leave();
 }
 
-Status Daemon::load_or_boot_catalog() {
-  // The boot-flag catalog (epoch 0) is already installed; a durable
-  // `~catalog` record from a previous membership change strictly wins.
-  auto text = store_.load(core::SiteContext::kCatalogKey);
-  if (!text) return Status::ok();  // fresh store — boot flags stand
-  auto parsed = placement::CatalogEpoch::parse(text.value());
-  if (!parsed) {
-    return Status(Code::kInternal,
-                  "durable catalog unreadable: " + parsed.status().message());
-  }
-  placement::CatalogEpoch durable = std::move(parsed).value();
-  // The durable address book supersedes (and extends) the --peers flags:
-  // members admitted after this daemon's flags were written live only here.
-  for (const auto& [site, address] : durable.addresses) {
-    if (site == config_.site.id || address.empty()) continue;
-    config_.peers[site] = address;
-    network_.add_peer(site, address);
-  }
-  catalog_.install(std::move(durable));
-  DTX_INFO() << "dtxd: site " + std::to_string(config_.site.id) +
-                     " resuming from durable catalog epoch " +
-                     std::to_string(catalog_.epoch());
-  return Status::ok();
-}
-
-Status Daemon::run_join_handshake() {
-  using Clock = std::chrono::steady_clock;
-  // Advertised address: --advertise, else the listen host with the
-  // actually-bound port (resolves a port-0 listen).
-  std::string advertise = config_.advertise;
-  if (advertise.empty()) {
-    const std::size_t colon = config_.listen.rfind(':');
-    advertise = config_.listen.substr(0, colon) + ":" +
-                std::to_string(network_.listen_port());
-  }
-  net::Mailbox& mailbox = network_.register_site(config_.site.id);
-  std::vector<net::Message> deferred;
-  const Clock::time_point deadline =
-      Clock::now() + config_.connect_wait + std::chrono::seconds(30);
-  Clock::time_point last_sent{};
-  std::string last_refusal;
-  while (Clock::now() < deadline) {
-    const Clock::time_point now = Clock::now();
-    if (now - last_sent >= std::chrono::milliseconds(500)) {
-      // Resend until admitted: the transport is lossy while the seed
-      // connection establishes, and the seed defers the reply until the
-      // old epoch drained at every member.
-      network_.send(net::Message{
-          config_.site.id, config_.join_seed,
-          net::JoinRequest{config_.site.id, advertise}});
-      last_sent = now;
-    }
-    auto message = mailbox.pop(std::chrono::microseconds(50'000));
-    if (!message) continue;
-    const auto* reply = std::get_if<net::JoinReply>(&message->payload);
-    if (reply == nullptr) {
-      // Early migration pushes and client traffic: park for the
-      // dispatcher — the Site picks them up the moment it starts.
-      deferred.push_back(std::move(*message));
-      continue;
-    }
-    if (!reply->ok) {
-      last_refusal = reply->error;  // transient (another change in flight)
-      continue;
-    }
-    auto parsed = placement::CatalogEpoch::parse(reply->catalog);
-    if (!parsed) {
-      return Status(Code::kInternal,
-                    "join reply catalog unreadable: " +
-                        parsed.status().message());
-    }
-    placement::CatalogEpoch admitted = std::move(parsed).value();
-    if (!admitted.is_member(config_.site.id)) {
-      return Status(Code::kInternal, "join reply catalog omits this site");
-    }
-    for (const auto& [site, address] : admitted.addresses) {
-      if (site == config_.site.id || address.empty()) continue;
-      config_.peers[site] = address;
-      network_.add_peer(site, address);
-    }
-    // Persist before installing (mirrors Site::install_epoch): a crash
-    // right after admission must restart as a member, not re-join.
-    Status saved =
-        store_.store(core::SiteContext::kCatalogKey, admitted.to_text());
-    if (!saved) return saved;
-    catalog_.install(std::move(admitted));
-    DTX_INFO() << "dtxd: site " + std::to_string(config_.site.id) +
-                       " joined at catalog epoch " +
-                       std::to_string(catalog_.epoch());
-    for (net::Message& parked : deferred) {
-      mailbox.push(std::move(parked), Clock::now());
-    }
-    return Status::ok();
-  }
-  std::string detail = last_refusal.empty()
-                           ? "no JoinReply from seed site " +
-                                 std::to_string(config_.join_seed)
-                           : "seed refused: " + last_refusal;
-  return Status(Code::kUnavailable, "join timed out: " + detail);
+std::string Daemon::advertise_address() const {
+  if (!config_.advertise.empty()) return config_.advertise;
+  // The listen host with the actually-bound port (resolves a port-0 listen).
+  const std::size_t colon = config_.listen.rfind(':');
+  return config_.listen.substr(0, colon) + ":" +
+         std::to_string(network_.listen_port());
 }
 
 Status Daemon::seed_documents() {
@@ -423,176 +315,6 @@ Status Daemon::seed_documents() {
     xml << in.rdbuf();
     Status stored = store_.store(name, xml.str());
     if (!stored) return stored;
-  }
-  return Status::ok();
-}
-
-void Daemon::answer_pull(const net::RecoveryPullRequest& request) {
-  net::RecoveryPullReply reply;
-  reply.doc = request.doc;
-  const std::vector<net::SiteId> hosts = catalog_.sites_of(request.doc);
-  const bool hosted = std::find(hosts.begin(), hosts.end(),
-                                config_.site.id) != hosts.end();
-  if (hosted && store_.exists(request.doc)) {
-    // No engine is running locally yet, so one read is already stable.
-    auto durable = core::recovery::read_stable(store_, request.doc, 1);
-    if (durable) {
-      reply.ok = true;
-      reply.version = durable.value().version;
-      reply.snapshot = std::move(durable.value().snapshot);
-      reply.log = core::recovery::flatten_log(durable.value());
-    }
-  }
-  network_.send(net::Message{config_.site.id, request.requester,
-                             std::move(reply)});
-}
-
-Status Daemon::recover_documents() {
-  using Clock = std::chrono::steady_clock;
-
-  // Which documents are hosted here, and which peers replicate them.
-  std::vector<std::string> hosted;
-  std::set<net::SiteId> relevant_peers;
-  for (const std::string& doc : catalog_.documents()) {
-    const std::vector<net::SiteId> hosts = catalog_.sites_of(doc);
-    if (std::find(hosts.begin(), hosts.end(), config_.site.id) ==
-        hosts.end()) {
-      continue;
-    }
-    hosted.push_back(doc);
-    for (net::SiteId peer : hosts) {
-      if (peer != config_.site.id && config_.peers.count(peer) != 0) {
-        relevant_peers.insert(peer);
-      }
-    }
-  }
-  if (hosted.empty()) return Status::ok();
-
-  // The daemon pops its own mailbox during recovery, before the Site
-  // exists; SiteContext's register_site later returns this same mailbox.
-  // Anything popped here that is not recovery traffic (a client already
-  // connected through the transport, an engine message from a running
-  // peer) is parked and re-queued for the dispatcher before Site::start —
-  // dropping it would time out a client whose connect raced our startup.
-  net::Mailbox& mailbox = network_.register_site(config_.site.id);
-  std::vector<net::Message> deferred;
-
-  // Bounded wait for the replicating peers to connect. Peers that stay
-  // down simply contribute no state — the engine serves what it has and
-  // they recover from us later.
-  const Clock::time_point connect_deadline =
-      Clock::now() + config_.connect_wait;
-  auto all_connected = [&] {
-    return std::all_of(relevant_peers.begin(), relevant_peers.end(),
-                       [&](net::SiteId p) { return network_.peer_connected(p); });
-  };
-  while (!all_connected() && Clock::now() < connect_deadline) {
-    // Answer early pulls from peers restarting alongside us.
-    while (auto message = mailbox.try_pop()) {
-      if (const auto* pull = std::get_if<net::RecoveryPullRequest>(
-              &message->payload)) {
-        answer_pull(*pull);
-      } else if (!std::holds_alternative<net::RecoveryPullReply>(
-                     message->payload)) {
-        deferred.push_back(std::move(*message));
-      }
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-
-  // Fan the pulls out and collect replies; keep answering peer pulls
-  // meanwhile so simultaneous restarts cannot starve each other.
-  std::map<std::string, std::set<net::SiteId>> outstanding;
-  std::map<std::string, std::vector<core::wal::DurableDoc>> states;
-  std::size_t waiting = 0;
-  for (const std::string& doc : hosted) {
-    for (net::SiteId peer : catalog_.sites_of(doc)) {
-      if (peer == config_.site.id || !network_.peer_connected(peer)) continue;
-      network_.send(net::Message{
-          config_.site.id, peer,
-          net::RecoveryPullRequest{doc, config_.site.id}});
-      outstanding[doc].insert(peer);
-      ++waiting;
-    }
-  }
-  const Clock::time_point sync_deadline = Clock::now() + config_.sync_timeout;
-  while (waiting > 0 && Clock::now() < sync_deadline) {
-    auto message = mailbox.pop(std::chrono::microseconds(50'000));
-    if (!message) continue;
-    if (const auto* pull =
-            std::get_if<net::RecoveryPullRequest>(&message->payload)) {
-      answer_pull(*pull);
-      continue;
-    }
-    auto* reply = std::get_if<net::RecoveryPullReply>(&message->payload);
-    if (reply == nullptr) {
-      deferred.push_back(std::move(*message));  // for the dispatcher
-      continue;
-    }
-    auto pending = outstanding.find(reply->doc);
-    if (pending == outstanding.end() ||
-        pending->second.erase(message->from) == 0) {
-      continue;  // duplicate or unsolicited
-    }
-    --waiting;
-    if (!reply->ok) continue;  // peer has no stable state of this doc
-    auto durable = core::recovery::from_wire(reply->doc, reply->snapshot,
-                                             reply->log);
-    if (!durable) {
-      DTX_WARN() << "dtxd: discarding recovery pull of '" + reply->doc +
-                         "' from site " + std::to_string(message->from) +
-                         ": " + durable.status().message();
-      continue;
-    }
-    states[reply->doc].push_back(std::move(durable).value());
-  }
-
-  core::recovery::SyncStats sync_stats;
-  for (const std::string& doc : hosted) {
-    std::vector<core::wal::DurableDoc>& peer_states = states[doc];
-    if (!store_.exists(doc)) {
-      // Nothing local at all (fresh store, no --load seed): adopt the
-      // freshest peer wholesale; with no peer state either, the document
-      // cannot be served.
-      const core::wal::DurableDoc* best = nullptr;
-      for (const core::wal::DurableDoc& peer : peer_states) {
-        if (best == nullptr || peer.version > best->version) best = &peer;
-      }
-      if (best == nullptr) {
-        if (catalog_.epoch() > 0) {
-          // Membership-managed cluster: the replica is still migrating to
-          // this site — Site::start() fences it and the pull path
-          // converges once the sources come up.
-          continue;
-        }
-        return Status(Code::kNotFound,
-                      "document '" + doc +
-                          "' is hosted here but neither the store, --load "
-                          "nor any peer supplied it");
-      }
-      Status stored = store_.store(doc, best->snapshot);
-      if (!stored) return stored;
-      const std::string log = core::recovery::flatten_log(*best);
-      if (!log.empty()) {
-        stored = store_.store(core::wal::log_key(doc), log);
-        if (!stored) return stored;
-      }
-      ++sync_stats.full_syncs;
-      continue;
-    }
-    Status synced =
-        core::recovery::sync_document(store_, doc, peer_states, sync_stats);
-    if (!synced) return synced;
-  }
-  if (sync_stats.log_suffix_syncs + sync_stats.full_syncs > 0) {
-    DTX_INFO() << "dtxd: recovery synced " +
-            std::to_string(sync_stats.log_suffix_syncs) + " log suffix(es), " +
-            std::to_string(sync_stats.full_syncs) + " full adoption(s)";
-  }
-  // Re-queue the traffic that arrived while we were recovering; the Site's
-  // dispatcher picks it up as soon as it starts.
-  for (net::Message& message : deferred) {
-    mailbox.push(std::move(message), Clock::now());
   }
   return Status::ok();
 }

@@ -1,14 +1,14 @@
-// dtxd: one DTX site as a standalone OS process. The daemon wires the real
-// transport (net::TcpNetwork) under the unchanged engine (core::Site): a
-// FileStore for durability, a catalog parsed from flags, startup recovery
-// that pulls peer replica state over the wire (RecoveryPullRequest — the
-// network form of Cluster::restart_site's store-to-store sync), and then
-// the ordinary Site lifecycle. Remote clients (client::RemoteSession,
-// `dtxsh --connect`) submit transactions over the same connections the
-// sites use among themselves.
+// dtxd: one DTX site as a standalone OS process. The daemon is a thin host:
+// it wires the real transport (net::TcpNetwork) under the unchanged engine
+// (core::Site) with a FileStore for durability and a boot catalog parsed
+// from flags, seeds --load documents on first boot, and hands everything
+// else to the Site lifecycle the in-process Cluster runs too — startup
+// recovery over the wire (Site::start with Startup::kRecover), the --join
+// handshake (Site::join) and decommission (Site::begin_leave). Remote
+// clients (client::RemoteSession, `dtxsh --connect`) submit transactions
+// over the same connections the sites use among themselves.
 #pragma once
 
-#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
@@ -45,16 +45,14 @@ struct DaemonConfig {
   /// store does not already hold the document (first boot, not restart).
   std::vector<std::pair<std::string, std::string>> loads;
   /// --join=ID=host:port: boot as a NEW member. The daemon dials the seed
-  /// site, runs the join protocol (JoinRequest/JoinReply), installs the
+  /// site and runs Site::join (JoinRequest/JoinReply), which installs the
   /// rebalanced catalog and lets the engine's migration machinery pull its
   /// replicas. A restart with a durable catalog skips the handshake.
+  /// Startup waits (join, recovery pulls) scale with
+  /// site.response_timeout.
   bool join = false;
   net::SiteId join_seed = 0;
   std::string join_seed_address;
-  /// Startup bound on waiting for peer connections before recovery pulls.
-  std::chrono::milliseconds connect_wait{3000};
-  /// Startup bound on collecting RecoveryPullReplies.
-  std::chrono::milliseconds sync_timeout{3000};
 };
 
 /// Builds a config from --key=value flags:
@@ -65,7 +63,6 @@ struct DaemonConfig {
 ///   --join=ID=host:port                               (join via seed site)
 ///   --advertise=host:port                             (dialable address)
 ///   --policy=fixed|round_robin|hash_ring --replication=N
-///   --connect_wait_ms=N --sync_timeout_ms=N
 /// plus engine knobs: --protocol=xdgl|node2pl|doclock, --coordinator_workers,
 /// --participant_workers, --lock_shards, --checkpoint_interval,
 /// --max_wait_episodes, --snapshot_reads, --orphan_timeout_ms,
@@ -80,16 +77,17 @@ class Daemon {
   Daemon(const Daemon&) = delete;
   Daemon& operator=(const Daemon&) = delete;
 
-  /// Full startup: catalog, transport, seed loads, recovery pulls from
-  /// live peers, then Site::start(). Returns the first failure.
+  /// Full startup: transport, then either Site::join (first boot with
+  /// --join) or the seed loads (first boot) and Site::start with recovery
+  /// pulls from live peers. Returns the first failure.
   util::Status start();
 
   /// Stops the site and the transport. Idempotent.
   void stop();
 
-  /// Starts an orderly leave (SIGUSR1): the site rebalances the catalog
-  /// without itself and migrates its replicas away. Poll decommissioned()
-  /// for completion, then stop().
+  /// Starts an orderly leave (SIGUSR1) via Site::begin_leave: the site
+  /// rebalances the catalog without itself and migrates its replicas away.
+  /// Poll decommissioned() for completion, then stop().
   void begin_decommission();
   [[nodiscard]] bool decommissioned() const noexcept {
     return site_ != nullptr && site_->decommissioned();
@@ -105,20 +103,10 @@ class Daemon {
   }
 
  private:
-  /// Seeds catalog_: the durable `~catalog` record when the store holds
-  /// one, the --docs boot layout (with the address book baked in)
-  /// otherwise.
-  util::Status load_or_boot_catalog();
-  /// First-boot --join handshake: JoinRequest to the seed, install the
-  /// JoinReply catalog, dial every member.
-  util::Status run_join_handshake();
   /// Stores --load seeds that are hosted here and not yet present.
   util::Status seed_documents();
-  /// Pulls peer replica state for every hosted document and runs
-  /// recovery::sync_document. Answers peers' own pulls while waiting, so
-  /// simultaneously (re)starting daemons cannot deadlock each other.
-  util::Status recover_documents();
-  void answer_pull(const net::RecoveryPullRequest& request);
+  /// --advertise, else the listen host with the actually-bound port.
+  [[nodiscard]] std::string advertise_address() const;
 
   DaemonConfig config_;
   storage::FileStore store_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <thread>
 
-#include "dtx/recovery.hpp"
-#include "dtx/wal.hpp"
 #include "storage/file_store.hpp"
 
 namespace dtx::core {
@@ -12,6 +10,15 @@ namespace dtx::core {
 using util::Code;
 using util::Result;
 using util::Status;
+
+namespace {
+
+Status out_of_range(SiteId site) {
+  return Status(Code::kInvalidArgument,
+                "site " + std::to_string(site) + " out of range");
+}
+
+}  // namespace
 
 Cluster::Cluster(ClusterOptions options)
     : options_(std::move(options)), network_(options_.network) {
@@ -36,10 +43,7 @@ Status Cluster::load_document(const std::string& name, const std::string& xml,
     return Status(Code::kInternal, "load documents before start()");
   }
   for (SiteId site : sites) {
-    if (site >= stores_.size()) {
-      return Status(Code::kInvalidArgument,
-                    "site " + std::to_string(site) + " out of range");
-    }
+    if (site >= stores_.size()) return out_of_range(site);
   }
   Status placed = catalog_.add_document(name, sites);
   if (!placed) return placed;
@@ -57,10 +61,7 @@ Status Cluster::declare_document(const std::string& name,
     return Status(Code::kInternal, "declare documents before start()");
   }
   for (SiteId site : sites) {
-    if (site >= stores_.size()) {
-      return Status(Code::kInvalidArgument,
-                    "site " + std::to_string(site) + " out of range");
-    }
+    if (site >= stores_.size()) return out_of_range(site);
     if (!stores_[site]->exists(name)) {
       return Status(Code::kNotFound, "document '" + name +
                                          "' not stored at site " +
@@ -102,67 +103,20 @@ void Cluster::stop() {
 
 Site* Cluster::site_ptr(SiteId site) const {
   sync::SharedLock lock(membership_mutex_);
-  return site < sites_.size() ? sites_[site].get() : nullptr;
+  return started_ && site < sites_.size() ? sites_[site].get() : nullptr;
 }
 
 Status Cluster::crash_site(SiteId site) {
-  Site* target = nullptr;
-  {
-    sync::SharedLock lock(membership_mutex_);
-    if (started_ && site < sites_.size()) target = sites_[site].get();
-  }
-  if (target == nullptr) {
-    return Status(Code::kInvalidArgument,
-                  "site " + std::to_string(site) + " out of range");
-  }
+  Site* target = site_ptr(site);
+  if (target == nullptr) return out_of_range(site);
   target->crash();
   return Status::ok();
 }
 
 Status Cluster::restart_site(SiteId site) {
-  sync::SharedLock lock(membership_mutex_);
-  if (!started_ || site >= sites_.size()) {
-    return Status(Code::kInvalidArgument,
-                  "site " + std::to_string(site) + " out of range");
-  }
-  if (sites_[site]->running()) {
-    // Refuse BEFORE the recovery sync below: overwriting a running site's
-    // store would race its own persists and rewind fresher state.
-    return Status(Code::kInternal, "site is running");
-  }
-  // Recovery sync (recovery::sync_document): for every document this site
-  // hosts, catch the local redo log up to the freshest peer replica. Peer
-  // stores are read directly — the in-process stand-in for the
-  // RecoveryPullRequest state transfer a dtxd restart performs over the
-  // network; backends synchronize per call, and read_stable retries reads
-  // that straddled a live peer's checkpoint. Hosting sets come from the
-  // restarting site's own catalog replica (it matches the durable
-  // ~catalog the site resumes under); peers without the bytes (already
-  // dropped after a placement flip) are skipped.
-  recovery::SyncStats sync_stats;
-  const Catalog::View view = catalogs_[site]->view();
-  for (const std::string& doc : view->documents_at(site)) {
-    std::vector<wal::DurableDoc> peers;
-    for (SiteId peer : view->sites_of(doc)) {
-      if (peer == site || peer >= stores_.size()) continue;
-      if (!stores_[peer]->exists(doc)) continue;
-      auto state = recovery::read_stable(*stores_[peer], doc);
-      if (!state) return state.status();
-      peers.push_back(std::move(state).value());
-    }
-    if (!stores_[site]->exists(doc)) {
-      // Never adopted here (a kill mid-join): leave it to the importing
-      // fence + pull path after restart.
-      continue;
-    }
-    Status synced =
-        recovery::sync_document(*stores_[site], doc, peers, sync_stats);
-    if (!synced) return synced;
-  }
-  log_suffix_syncs_.fetch_add(sync_stats.log_suffix_syncs,
-                              std::memory_order_relaxed);
-  full_syncs_.fetch_add(sync_stats.full_syncs, std::memory_order_relaxed);
-  return sites_[site]->restart();
+  Site* target = site_ptr(site);
+  if (target == nullptr) return out_of_range(site);
+  return target->restart();
 }
 
 bool Cluster::site_running(SiteId site) const {
@@ -215,44 +169,9 @@ Result<SiteId> Cluster::add_site() {
     joiner_store = stores_[id].get();
   }
 
-  // Join protocol over the sim LAN, via a transient admin endpoint. The
-  // request is re-sent on a timer: the request, the reply, or the seed's
-  // own drain round-trips may all be dropped by an injected fault, and a
-  // transient refusal (another change in flight, drain timeout) clears
-  // once the seed's previous change settles — so keep asking until the
-  // deadline.
-  const SiteId admin = kAdminIdBase + 2 * id;
-  net::Mailbox& mailbox = network_.register_site(admin);
-  const auto deadline = net::Mailbox::Clock::now() +
-                        8 * options_.site.response_timeout;
-  auto next_send = net::Mailbox::Clock::now();
-  net::JoinReply reply;
-  bool replied = false;
-  std::string last_refusal = "join timed out";
-  while (!replied && net::Mailbox::Clock::now() < deadline) {
-    if (net::Mailbox::Clock::now() >= next_send) {
-      next_send = net::Mailbox::Clock::now() + options_.site.response_timeout;
-      network_.send(net::Message{admin, seed, net::JoinRequest{id, ""}});
-    }
-    auto message = mailbox.pop(std::chrono::microseconds(20'000));
-    if (!message) continue;
-    if (const auto* join = std::get_if<net::JoinReply>(&message->payload)) {
-      if (join->ok) {
-        reply = *join;
-        replied = true;
-      } else {
-        last_refusal = "join refused: " + join->error;
-      }
-    }
-  }
-  if (!replied) return Status(Code::kInternal, last_refusal);
-  auto parsed = placement::CatalogEpoch::parse(reply.catalog);
-  if (!parsed) return parsed.status();
-  joiner_catalog->install(parsed.value());
-  catalog_.install(std::move(parsed).value());
-
-  Status status = joiner->start();
-  if (!status) return status;
+  Status joined = joiner->join(seed, "");
+  if (!joined) return joined;
+  catalog_.install(placement::CatalogEpoch(*joiner_catalog->view()));
 
   // Block until every replica the new epoch hosts at the joiner is durable
   // there (adopted from a migration push or its own pull).
@@ -264,8 +183,10 @@ Result<SiteId> Cluster::add_site() {
     }
     return true;
   };
+  const auto deadline =
+      std::chrono::steady_clock::now() + 8 * options_.site.response_timeout;
   while (!migrated()) {
-    if (net::Mailbox::Clock::now() >= deadline) {
+    if (std::chrono::steady_clock::now() >= deadline) {
       return Status(Code::kInternal, "replica migration to joiner timed out");
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -274,35 +195,19 @@ Result<SiteId> Cluster::add_site() {
 }
 
 Status Cluster::remove_site(SiteId site) {
-  Site* victim = nullptr;
-  {
-    sync::SharedLock lock(membership_mutex_);
-    if (started_ && site < sites_.size()) victim = sites_[site].get();
-  }
-  if (victim == nullptr) {
-    return Status(Code::kInvalidArgument,
-                  "site " + std::to_string(site) + " out of range");
-  }
+  Site* victim = site_ptr(site);
+  if (victim == nullptr) return out_of_range(site);
   if (!victim->running()) {
     return Status(Code::kInternal, "site is not running");
   }
-  // The decommission order is a JoinRequest naming the victim itself; the
-  // victim computes the post-departure epoch, broadcasts it, ships every
-  // replica it holds to the new hosts and flips decommissioned().
-  const SiteId admin = kAdminIdBase + 2 * site + 1;
-  (void)network_.register_site(admin);
-  const auto deadline = net::Mailbox::Clock::now() +
+  // The victim computes the post-departure epoch, broadcasts it, ships
+  // every replica it holds to the new hosts and flips decommissioned().
+  victim->begin_leave();
+  const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(30) +
                         4 * options_.site.response_timeout;
-  // Re-send the order on a timer: the single self-addressed message may be
-  // dropped by an injected fault, and begin_leave() is idempotent.
-  auto next_send = net::Mailbox::Clock::now();
   while (!victim->decommissioned()) {
-    if (net::Mailbox::Clock::now() >= next_send) {
-      next_send = net::Mailbox::Clock::now() + options_.site.response_timeout;
-      network_.send(net::Message{admin, site, net::JoinRequest{site, ""}});
-    }
-    if (net::Mailbox::Clock::now() >= deadline) {
+    if (std::chrono::steady_clock::now() >= deadline) {
       return Status(Code::kInternal, "decommission timed out");
     }
     if (!victim->running()) {
@@ -324,15 +229,8 @@ Status Cluster::remove_site(SiteId site) {
 
 Result<std::shared_ptr<txn::Transaction>> Cluster::submit(
     SiteId site, std::vector<txn::Operation> ops) {
-  Site* target = nullptr;
-  {
-    sync::SharedLock lock(membership_mutex_);
-    if (started_ && site < sites_.size()) target = sites_[site].get();
-  }
-  if (target == nullptr) {
-    return Status(Code::kInvalidArgument,
-                  "site " + std::to_string(site) + " out of range");
-  }
+  Site* target = site_ptr(site);
+  if (target == nullptr) return out_of_range(site);
   if (ops.empty()) {
     return Status(Code::kInvalidArgument,
                   "transaction needs at least one operation");
@@ -384,6 +282,8 @@ ClusterStats Cluster::stats() {
     out.orphans_aborted += s.orphans_aborted;
     out.commit_resends += s.commit_resends;
     out.restarts += s.restarts;
+    out.log_suffix_syncs += s.log_suffix_syncs;
+    out.full_syncs += s.full_syncs;
     out.unclassified_aborts += s.unclassified_aborts;
     out.catalog_epoch = std::max(out.catalog_epoch, s.catalog_epoch);
     out.stale_catalog_aborts += s.stale_catalog_aborts;
@@ -394,8 +294,6 @@ ClusterStats Cluster::stats() {
     out.snapshots.merge(s.snapshots);
     out.response_ms.merge(s.response_ms);
   }
-  out.log_suffix_syncs = log_suffix_syncs_.load(std::memory_order_relaxed);
-  out.full_syncs = full_syncs_.load(std::memory_order_relaxed);
   out.network = network_.stats();
   out.faults = network_.fault_stats();
   return out;

@@ -2,10 +2,11 @@
 // the placement catalog and per-site storage backends — and exposes the
 // client API (connect to a site, submit a transaction, await the result).
 // This is the top-level object examples, tests and benches instantiate; a
-// paper deployment would run one Site per machine instead.
+// paper deployment would run one Site per machine instead (dtxd). Like the
+// daemon, the cluster is a thin host: crash, restart, join and leave are
+// calls into the Site lifecycle, so in-process tests run the code dtxd runs.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -108,30 +109,30 @@ class Cluster {
   /// restarts.
   util::Status crash_site(SiteId site);
 
-  /// Restarts a stopped / crashed site. Before the site reloads, its
-  /// redo logs are caught up from the freshest peer replica of every
-  /// document it hosts: normally by appending the peer's record *suffix*
-  /// after the local commit version (O(missed commits)), falling back to
-  /// whole checkpoint + log adoption only when the peer already compacted
-  /// past it. Commits that finished while the site was down are therefore
-  /// never resurrected stale.
+  /// Restarts a stopped / crashed site (Site::restart). Before the site
+  /// serves, it pulls the durable state of every document it hosts from
+  /// the other running hosts over the network and catches its redo logs up
+  /// (recovery::sync_document): normally by appending the missing record
+  /// *suffix* (O(missed commits)), falling back to whole checkpoint + log
+  /// adoption only when a peer already compacted past it. A host that is
+  /// down contributes nothing, exactly as for dtxd.
   util::Status restart_site(SiteId site);
 
   /// True when the site's engine threads are running.
   [[nodiscard]] bool site_running(SiteId site) const;
 
   /// Elastic membership: admits a brand-new site into the running cluster.
-  /// Creates its store and Site, runs the join protocol against a seed
-  /// member (catalog rebalance under SiteOptions::placement_policy /
-  /// replication, drain of the old epoch, replica migration) and blocks
-  /// until every document the new epoch hosts at the joiner is durable
-  /// there. Returns the new site's id.
+  /// Creates its store and Site, runs Site::join against a seed member
+  /// (catalog rebalance under SiteOptions::placement_policy / replication,
+  /// drain of the old epoch, replica migration) and blocks until every
+  /// document the new epoch hosts at the joiner is durable there. Returns
+  /// the new site's id.
   util::Result<SiteId> add_site();
 
-  /// Decommissions a member: orders it to leave (rebalance without it),
-  /// blocks until every replica it held migrated to the surviving hosts,
-  /// then stops it. The slot stays (site ids are stable); the site can not
-  /// be restarted.
+  /// Decommissions a member: orders it to leave (Site::begin_leave —
+  /// rebalance without it), blocks until every replica it held migrated to
+  /// the surviving hosts and its own transactions ended, then stops it. The
+  /// slot stays (site ids are stable); the site can not be restarted.
   util::Status remove_site(SiteId site);
 
   [[nodiscard]] std::size_t site_count() const {
@@ -174,14 +175,10 @@ class Cluster {
   [[nodiscard]] ClusterStats stats();
 
  private:
-  /// First admin endpoint id used for the join / decommission protocol
-  /// (one transient mailbox per membership operation, in the client range).
-  static constexpr SiteId kAdminIdBase = net::kClientIdBase + 0x100u;
-
-  /// Site pointer by id, or nullptr when out of range. The membership lock
-  /// only covers the vector lookup — the Site itself is internally
-  /// synchronized and lives until the Cluster dies (remove_site stops a
-  /// site but keeps the slot), so the returned pointer stays valid.
+  /// Site pointer by id, or nullptr when out of range or before start().
+  /// The membership lock only covers the vector lookup — the Site itself is
+  /// internally synchronized and lives until the Cluster dies (remove_site
+  /// stops a site but keeps the slot), so the returned pointer stays valid.
   [[nodiscard]] Site* site_ptr(SiteId site) const;
 
   ClusterOptions options_;
@@ -204,9 +201,6 @@ class Cluster {
   std::vector<std::unique_ptr<Site>> sites_
       DTX_GUARDED_BY(membership_mutex_);
   bool started_ DTX_GUARDED_BY(membership_mutex_) = false;
-  /// Recovery-sync counters (restart_site; read concurrently by stats()).
-  std::atomic<std::uint64_t> log_suffix_syncs_{0};
-  std::atomic<std::uint64_t> full_syncs_{0};
 };
 
 }  // namespace dtx::core

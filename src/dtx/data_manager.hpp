@@ -12,8 +12,8 @@
 // and a checkpoint policy (SiteOptions::checkpoint_interval /
 // checkpoint_log_bytes) periodically compacts log + snapshot. The
 // per-document commit version (record numbering) is replica-comparable
-// under strict 2PL, which is what lets Cluster::restart_site ship a log
-// suffix when a crashed site rejoins (recovery sync).
+// under strict 2PL, which is what lets a restarting Site pull a log
+// suffix from its peers when it rejoins (recovery sync).
 //
 // Only committed operations ever reach the store, so no snapshot can
 // capture a concurrent transaction's uncommitted changes: checkpoints are

@@ -1,8 +1,9 @@
 // Replica recovery sync: catching a restarting site's redo logs up to the
-// freshest peer replica of each document it hosts. One algorithm, two
-// transports — Cluster::restart_site reads peer stores directly (the
-// in-process cluster), dtxd pulls peer state over the network
-// (RecoveryPullRequest/Reply) — both feed the same sync_document().
+// freshest peer replica of each document it hosts. Site::start (with
+// Startup::kRecover) pulls every other host's durable state over
+// net::Network (RecoveryPullRequest/Reply, answered only by
+// Site::answer_recovery_pull) and merges each document's answers with one
+// sync_document() call — the same code on SimNetwork and in dtxd.
 //
 // A record's version number is a per-replica position (commits of
 // non-conflicting transactions may land in different orders at different

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
+#include <set>
 
 #include "dtx/recovery.hpp"
 #include "util/log.hpp"
@@ -22,23 +24,22 @@ Site::Site(SiteOptions options, net::Network& network,
 
 Site::~Site() { stop(); }
 
-util::Status Site::start() {
+util::Status Site::start(Startup startup) {
+  if (ctx_.running.load()) {
+    return util::Status(util::Code::kInternal, "site is running");
+  }
   // Membership resume: the durable ~catalog record wins over the configured
   // bootstrap catalog, and an interrupted departure continues (leaving_).
   // Everything else of the membership machinery is derived fresh — ship
   // states reappear through the reconcile scan, fences through the
-  // hosted-but-absent check below.
+  // hosted-but-absent check below. A leave order dies with the process.
   pending_acks_.clear();
   pending_join_.reset();
   ship_states_.clear();
   last_pull_.clear();
+  leave_requested_.store(false);
   decommissioned_.store(false);
   load_durable_catalog();
-  util::Status status = ctx_.data().load_all();
-  if (!status) return status;
-  // Presumed-abort commit log: repopulate the outcome cache with the
-  // durable commit decisions (no-op on a fresh store).
-  ctx_.load_commit_log();
   {
     // Importing fence: documents this epoch hosts here whose replica never
     // arrived (join, or a kill -9 before the migration push landed) reject
@@ -50,10 +51,26 @@ util::Status Site::start() {
       if (!ctx_.store.exists(doc)) ctx_.importing_docs.insert(doc);
     }
   }
+  if (startup == Startup::kRecover) {
+    util::Status recovered = recover_replicas();
+    if (!recovered) return recovered;
+  }
+  util::Status status = ctx_.data().load_all();
+  if (!status) return status;
+  // Presumed-abort commit log: repopulate the outcome cache with the
+  // durable commit decisions (no-op on a fresh store).
+  ctx_.load_commit_log();
   {
     sync::MutexLock lock(ctx_.stats_mutex);
     ctx_.stats.catalog_epoch = ctx_.catalog.epoch();
   }
+  // Traffic the startup loops parked goes to the dispatcher first, in
+  // arrival order: stamped due at the clock's epoch, it sorts ahead of
+  // everything that reached the mailbox since (per-link FIFO holds).
+  for (net::Message& message : parked_) {
+    ctx_.mailbox.push(std::move(message), Clock::time_point{});
+  }
+  parked_.clear();
   ctx_.running.store(true);
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
   const std::size_t coordinators =
@@ -68,6 +85,134 @@ util::Status Site::start() {
   for (std::size_t i = 0; i < participants; ++i) {
     participant_threads_.emplace_back([this] { participant_.run(); });
   }
+  return util::Status::ok();
+}
+
+util::Status Site::join(SiteId seed, const std::string& address) {
+  if (ctx_.running.load()) {
+    return util::Status(util::Code::kInternal, "site is running");
+  }
+  // The seed drains the old epoch for up to four response timeouts per
+  // admission attempt; allow four attempts.
+  const Clock::time_point deadline =
+      Clock::now() + 16 * ctx_.options.response_timeout;
+  std::string failure = "no JoinReply from seed site " + std::to_string(seed);
+  Clock::time_point next_send{};
+  while (Clock::now() < deadline) {
+    if (Clock::now() >= next_send) {
+      // Resend until admitted: the request, the reply or the seed's drain
+      // round trips may be lost, and a refusal (another change in flight)
+      // clears once the seed's previous change settles.
+      ctx_.send(seed, net::JoinRequest{ctx_.options.id, address});
+      next_send = Clock::now() + pull_retry();
+    }
+    std::optional<net::Message> message = pop_startup_message();
+    if (!message) continue;
+    const auto* reply = std::get_if<net::JoinReply>(&message->payload);
+    if (reply == nullptr) {
+      // Early migration pushes and client traffic, for the dispatcher.
+      parked_.push_back(std::move(*message));
+      continue;
+    }
+    if (!reply->ok) {
+      failure = "seed refused: " + reply->error;
+      continue;
+    }
+    auto admitted = placement::CatalogEpoch::parse(reply->catalog);
+    if (!admitted) {
+      return util::Status(util::Code::kInternal,
+                          "join reply catalog unreadable: " +
+                              admitted.status().message());
+    }
+    if (!admitted.value().is_member(ctx_.options.id)) {
+      return util::Status(util::Code::kInternal,
+                          "join reply catalog omits this site");
+    }
+    // Persisted and dialed before serving: a crash from here on restarts
+    // as a member instead of joining again.
+    install_epoch(std::move(admitted).value());
+    return start();
+  }
+  return util::Status(util::Code::kUnavailable, "join timed out: " + failure);
+}
+
+std::optional<net::Message> Site::pop_startup_message() {
+  std::optional<net::Message> message =
+      ctx_.mailbox.pop(ctx_.options.poll_interval);
+  if (message) {
+    if (const auto* pull =
+            std::get_if<net::RecoveryPullRequest>(&message->payload)) {
+      answer_recovery_pull(*pull);
+      return std::nullopt;
+    }
+  }
+  return message;
+}
+
+SiteContext::Clock::duration Site::pull_retry() const {
+  return std::min<Clock::duration>(ctx_.options.response_timeout,
+                                   std::chrono::milliseconds(250));
+}
+
+util::Status Site::recover_replicas() {
+  const Catalog::View view = ctx_.catalog.view();
+  std::vector<std::string> stored;
+  std::map<std::string, std::set<SiteId>> unanswered;  // doc -> hosts
+  for (const std::string& doc : view->documents_at(ctx_.options.id)) {
+    if (!ctx_.store.exists(doc)) continue;  // fenced: the import pull adopts
+    stored.push_back(doc);
+    for (SiteId host : view->sites_of(doc)) {
+      if (host != ctx_.options.id) unanswered[doc].insert(host);
+    }
+  }
+  std::map<std::string, std::vector<wal::DurableDoc>> states;
+  const Clock::time_point deadline =
+      Clock::now() + ctx_.options.response_timeout;
+  Clock::time_point next_send{};
+  while (!unanswered.empty() && Clock::now() < deadline) {
+    if (Clock::now() >= next_send) {
+      // Re-pull on a timer: the transport is lossy, and a peer booting
+      // alongside this site may not be reachable yet. A peer that stays
+      // down contributes nothing; it catches up from us when it restarts.
+      for (const auto& [doc, hosts] : unanswered) {
+        for (SiteId host : hosts) {
+          ctx_.send(host, net::RecoveryPullRequest{doc, ctx_.options.id});
+        }
+      }
+      next_send = Clock::now() + pull_retry();
+    }
+    std::optional<net::Message> message = pop_startup_message();
+    if (!message) continue;
+    const auto* reply = std::get_if<net::RecoveryPullReply>(&message->payload);
+    if (reply == nullptr) {
+      parked_.push_back(std::move(*message));
+      continue;
+    }
+    const auto pending = unanswered.find(reply->doc);
+    if (pending == unanswered.end() ||
+        pending->second.erase(message->from) == 0) {
+      continue;  // duplicate
+    }
+    if (pending->second.empty()) unanswered.erase(pending);
+    if (!reply->ok) continue;  // no servable copy there
+    auto durable = recovery::from_wire(reply->doc, reply->snapshot, reply->log);
+    if (!durable) {
+      DTX_WARN() << "site " << ctx_.options.id << ": discarding recovery pull"
+                 << " of '" << reply->doc << "' from site " << message->from
+                 << ": " << durable.status().to_string();
+      continue;
+    }
+    states[reply->doc].push_back(std::move(durable).value());
+  }
+  recovery::SyncStats synced;
+  for (const std::string& doc : stored) {
+    util::Status status =
+        recovery::sync_document(ctx_.store, doc, states[doc], synced);
+    if (!status) return status;
+  }
+  sync::MutexLock lock(ctx_.stats_mutex);
+  ctx_.stats.log_suffix_syncs += synced.log_suffix_syncs;
+  ctx_.stats.full_syncs += synced.full_syncs;
   return util::Status::ok();
 }
 
@@ -125,6 +270,7 @@ void Site::wipe_volatile_state() {
     ctx_.deferred_victims.clear();
     ctx_.recent_outcomes.clear();
     ctx_.outcome_fifo.clear();
+    draining_ = false;
   }
   {
     sync::MutexLock lock(ctx_.part_mutex);
@@ -166,8 +312,9 @@ util::Status Site::restart() {
   wipe_volatile_state();
   ctx_.rebuild_engine();
   ctx_.mailbox.reset();
+  parked_.clear();
   ctx_.network.set_site_down(ctx_.options.id, false);
-  util::Status status = start();
+  util::Status status = start(Startup::kRecover);
   if (status) {
     sync::MutexLock lock(ctx_.stats_mutex);
     ++ctx_.stats.restarts;
@@ -191,14 +338,20 @@ std::shared_ptr<Transaction> Site::submit(std::vector<txn::Operation> ops) {
     // catalog flip mid-transaction aborts it (kStaleCatalog, retryable)
     // rather than tearing it across two placements.
     txn->set_catalog_epoch(ctx_.catalog.epoch());
-    if (!ctx_.running.load()) {
-      // The site is down (stopped or crashed): refuse instead of parking
-      // the transaction on a queue no worker will ever drain.
+    const bool down = !ctx_.running.load();
+    if (down || draining_) {
+      // A down site (stopped or crashed) refuses instead of parking the
+      // transaction on a queue no worker will ever drain. A departing site
+      // whose replicas are all gone refuses so its own transactions drain:
+      // the host stops it once decommissioned(), and a commit fan-out cut
+      // short there would leave the participants to presume abort of a
+      // committed transaction.
       txn::TxnResult result;
       result.id = txn->id();
       result.state = TxnState::kAborted;
-      result.reason = txn::AbortReason::kSiteFailure;
-      result.detail = "site is down";
+      result.reason = down ? txn::AbortReason::kSiteFailure
+                           : txn::AbortReason::kStaleCatalog;
+      result.detail = down ? "site is down" : "site left the cluster";
       txn->complete(std::move(result));
       return txn;
     }
@@ -305,7 +458,7 @@ void Site::dispatcher_loop() {
             } else if constexpr (std::is_same_v<T, net::JoinReply>) {
               // Anti-entropy: a catalog fetched from a fresher member (see
               // Participant::gossip_catalog). Joins proper consume their
-              // JoinReply before Site::start, never here.
+              // JoinReply in join(), before the dispatcher runs.
               if (payload.ok && payload.epoch > ctx_.catalog.epoch()) {
                 auto parsed = placement::CatalogEpoch::parse(payload.catalog);
                 if (parsed) install_epoch(std::move(parsed).value());
@@ -506,6 +659,13 @@ void Site::load_durable_catalog() {
     return;
   }
   placement::CatalogEpoch durable = std::move(parsed).value();
+  // The durable address book supersedes and extends the boot peers:
+  // members admitted after this site was configured are only known here.
+  for (const auto& [site, address] : durable.addresses) {
+    if (site != ctx_.options.id && !address.empty()) {
+      ctx_.network.add_peer(site, address);
+    }
+  }
   const bool member = durable.is_member(ctx_.options.id);
   const bool empty = durable.members.empty();
   ctx_.catalog.install(std::move(durable));  // no-op if the bootstrap is newer
@@ -620,11 +780,6 @@ void Site::handle_catalog_ack(const net::CatalogAck& ack) {
 
 void Site::handle_join_request(net::SiteId from,
                                const net::JoinRequest& request) {
-  if (request.site == ctx_.options.id) {
-    // A JoinRequest naming the receiving site is the decommission order.
-    begin_leave();
-    return;
-  }
   const Catalog::View view = ctx_.catalog.view();
   if (view->is_member(request.site)) {
     // Idempotent admit — also the catalog-fetch path of a lagging member
@@ -676,7 +831,7 @@ void Site::handle_join_request(net::SiteId from,
   }
 }
 
-void Site::begin_leave() {
+void Site::leave() {
   if (leaving_) return;
   const Catalog::View view = ctx_.catalog.view();
   if (!view->is_member(ctx_.options.id)) {
@@ -696,11 +851,15 @@ void Site::begin_leave() {
       placement::rebalance(*view, std::move(members), {},
                            ctx_.options.placement_policy,
                            ctx_.options.replication);
-  const std::string text = next.to_text();
   leaving_ = true;
-  for (SiteId member : view->members) {  // includes self
-    ctx_.send(member, net::CatalogUpdate{next.epoch, text, ctx_.options.id});
+  const net::CatalogUpdate update{next.epoch, next.to_text(), ctx_.options.id};
+  for (SiteId member : view->members) {
+    if (member != ctx_.options.id) ctx_.send(member, update);
   }
+  // Installed here directly, never over the lossy transport: a lost
+  // self-update would leave nothing to ship and, with clients already
+  // routed away, no traffic to gossip the epoch back.
+  handle_catalog_update(update);
 }
 
 std::optional<std::uint64_t> Site::adopt_replica(const std::string& doc,
@@ -817,8 +976,7 @@ void Site::reconcile_replicas(Clock::time_point now) {
   if (!pending_acks_.empty()) return;
   if (now - last_reconcile_ < std::chrono::milliseconds(25)) return;
   last_reconcile_ = now;
-  const auto retry = std::min<Clock::duration>(
-      ctx_.options.response_timeout, std::chrono::milliseconds(250));
+  const Clock::duration retry = pull_retry();
   const Catalog::View view = ctx_.catalog.view();
 
   // Restart resume / lingering cleanup: any stored replica this epoch
@@ -891,7 +1049,11 @@ void Site::reconcile_replicas(Clock::time_point now) {
   }
 
   if (leaving_ && ship_states_.empty() && !decommissioned_.load()) {
-    // Departure complete once no catalog document remains in the store.
+    // Departure complete once no catalog document remains in the store and
+    // every transaction coordinated here terminated. Until the replicas
+    // are gone the site keeps coordinating: its new-epoch requests carry
+    // the departure epoch to members that missed the broadcast (stale-epoch
+    // gossip), which a gaining host needs before it can adopt.
     bool replicas_left = false;
     for (const std::string& key : ctx_.store.list()) {
       if (!DataManager::is_internal_key(key) && view->has_document(key)) {
@@ -899,11 +1061,16 @@ void Site::reconcile_replicas(Clock::time_point now) {
         break;
       }
     }
-    if (!replicas_left) decommissioned_.store(true);
+    if (!replicas_left) {
+      sync::MutexLock lock(ctx_.coord_mutex);
+      draining_ = true;  // submit() admits nothing from here on
+      if (ctx_.transactions.empty()) decommissioned_.store(true);
+    }
   }
 }
 
 void Site::membership_tick(Clock::time_point now) {
+  if (leave_requested_.exchange(false)) leave();
   if (!pending_acks_.empty()) maybe_send_catalog_acks();
   if (pending_join_ && now >= pending_join_->deadline) {
     ctx_.send(pending_join_->reply_to,

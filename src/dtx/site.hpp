@@ -16,11 +16,16 @@
 //
 // The client-facing submit() is the Listener: it accepts a transaction and
 // hands back a handle whose await() blocks until commit / abort / fail.
+//
+// The lifecycle — start (fresh or recovering), join, crash, restart, leave —
+// lives here once; both hosts, the in-process Cluster (SimNetwork) and the
+// dtxd Daemon (TcpNetwork), only call into it.
 #pragma once
 
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -43,9 +48,31 @@ class Site {
   Site(const Site&) = delete;
   Site& operator=(const Site&) = delete;
 
-  /// Loads documents from storage and spawns the dispatcher plus the
-  /// coordinator / participant worker pools.
-  util::Status start();
+  /// How start() treats the replicas already in the store.
+  enum class Startup {
+    /// A freshly loaded deployment: every replica is current, so the site
+    /// serves at once — no wait on peers, no fence. Cluster::start and
+    /// the benchmark rig start sites one after another this way.
+    kFresh,
+    /// Rejoining over durable state that may be stale (a restart, or any
+    /// dtxd boot): before serving, pull every other host's durable state
+    /// of each stored replica and merge it with recovery::sync_document.
+    kRecover,
+  };
+
+  /// The site lifecycle in one place: resumes the durable catalog, fences
+  /// hosted replicas the store lacks (the migration pull adopts them),
+  /// recovers stored replicas from their peers (kRecover), loads documents
+  /// from storage and spawns the dispatcher plus the coordinator /
+  /// participant worker pools.
+  util::Status start(Startup startup = Startup::kFresh);
+
+  /// Joins a running cluster as a new member: sends JoinRequest to `seed`
+  /// until a JoinReply admits this site, installs (and persists) the
+  /// admitted catalog, then start()s. `address` is this site's dialable
+  /// endpoint for the other members ("" on SimNetwork). Replicas the new
+  /// epoch places here arrive through the migration push / pull.
+  util::Status join(SiteId seed, const std::string& address);
 
   /// Stops and joins the threads. Unfinished transactions abort.
   void stop();
@@ -66,10 +93,17 @@ class Site {
   void crash();
 
   /// Rejoins after stop() or crash(): rebuilds the DataManager /
-  /// LockManager / plan cache from the storage backend (committed state
-  /// only — exactly what a crash leaves behind), clears the mailbox and
-  /// re-spawns the worker threads.
+  /// LockManager / plan cache, clears the mailbox and runs
+  /// start(Startup::kRecover) — committed state only, caught up from
+  /// every peer that answers (a down peer contributes nothing).
   util::Status restart();
+
+  /// Orders this site to leave the cluster: it rebalances the catalog
+  /// without itself and ships every replica to the new hosts; then it
+  /// refuses new transactions (retryable kStaleCatalog) and flips
+  /// decommissioned() once those it coordinates terminated. Any thread;
+  /// idempotent; acted on by the dispatcher.
+  void begin_leave() { leave_requested_.store(true); }
 
   [[nodiscard]] bool running() const noexcept { return ctx_.running.load(); }
 
@@ -84,10 +118,10 @@ class Site {
   /// counters are per-shard and aggregated here on read).
   [[nodiscard]] SiteStats stats();
 
-  /// True once a decommission (a JoinRequest naming this site, or
-  /// begin_leave via the daemon's signal handler) fully drained: every
-  /// replica shipped to its new hosts and dropped here. The admin polls
-  /// this before stopping the site for good.
+  /// True once a decommission (begin_leave) fully drained: every replica
+  /// shipped to its new hosts and dropped here, no transaction coordinated
+  /// here still running. The host polls this before stopping the site for
+  /// good.
   [[nodiscard]] bool decommissioned() const noexcept {
     return decommissioned_.load();
   }
@@ -128,9 +162,24 @@ class Site {
   /// The Listener's network face: accepts a remote client's transaction
   /// and wires its completion back into a ClientReply (dispatcher thread).
   void handle_client_submit(SiteId client, net::ClientSubmit submit);
-  /// Serves a restarting peer's recovery pull with this site's stable
-  /// durable state of the document (dispatcher thread).
+  /// The one answer to a RecoveryPullRequest (a restarting peer, or a
+  /// fenced import pulling its replica): this site's stable durable state
+  /// of the document — also while this site is itself still recovering —
+  /// or ok=false when the store lacks it or it is a fenced import.
   void answer_recovery_pull(const net::RecoveryPullRequest& request);
+
+  // --- startup (before the dispatcher thread exists) -------------------------
+  /// Pops one message off the mailbox for a startup wait loop. Peers'
+  /// recovery pulls are answered on the spot — so sites starting together
+  /// never wait on each other — and never returned.
+  std::optional<net::Message> pop_startup_message();
+  /// Pull interval of the startup loops and the import pulls.
+  [[nodiscard]] Clock::duration pull_retry() const;
+  /// Recovery sync of every stored replica this site hosts: pulls the
+  /// other hosts' durable states until each answered or response_timeout
+  /// passed, then merges each document's answers with one
+  /// recovery::sync_document call.
+  util::Status recover_replicas();
 
   lock::TxnId next_txn_id();  // expects coord_mutex held
 
@@ -150,8 +199,7 @@ class Site {
   /// no-op unless `next` is strictly newer than the current epoch.
   void install_epoch(placement::CatalogEpoch next);
   void handle_catalog_ack(const net::CatalogAck& ack);
-  /// Seed side of a join — or, when `request.site` names this site, the
-  /// decommission order (begin_leave).
+  /// Seed side of a join (also the catalog fetch of a lagging member).
   void handle_join_request(net::SiteId from, const net::JoinRequest& request);
   void handle_migrate_doc(net::SiteId from, const net::MigrateDoc& migrate);
   void handle_migrate_ack(const net::MigrateAck& ack);
@@ -164,9 +212,10 @@ class Site {
   /// still has state at this site (coordinator table + remote_txns).
   [[nodiscard]] bool epoch_drained(std::uint64_t epoch);
   void maybe_send_catalog_acks();
-  /// Computes the post-departure epoch and broadcasts it; reconcile then
-  /// ships every replica away and flips decommissioned_.
-  void begin_leave();
+  /// Acts on begin_leave(): computes the post-departure epoch and
+  /// broadcasts it; reconcile then ships every replica away and flips
+  /// decommissioned_.
+  void leave();
   /// Ship / pull / drop pass: resends MigrateDoc for pending handoffs,
   /// scans the store for replicas this site no longer hosts (restart
   /// resume), pulls fenced imports from current hosts.
@@ -180,8 +229,9 @@ class Site {
                                              const std::string& log);
   /// Removes a replica end to end: engine, snapshots, store bytes + log.
   void drop_replica(const std::string& doc);
-  /// Loads the durable ~catalog record (if any) into the catalog replica
-  /// and derives the membership resume state (leaving_). start() only.
+  /// Loads the durable ~catalog record (if any) into the catalog replica,
+  /// registers its address book with the network and derives the
+  /// membership resume state (leaving_). start() only.
   void load_durable_catalog();
 
   /// One handoff in flight: gaining hosts that have not acked durability,
@@ -210,7 +260,14 @@ class Site {
   std::map<std::string, Clock::time_point> last_pull_;
   Clock::time_point last_reconcile_{};
   bool leaving_ = false;
+  /// Departure shipped every replica: new submissions are refused while
+  /// the transactions coordinated here drain (then decommissioned_).
+  bool draining_ DTX_GUARDED_BY(ctx_.coord_mutex) = false;
+  std::atomic<bool> leave_requested_{false};
   std::atomic<bool> decommissioned_{false};
+  /// Traffic a startup loop popped but does not handle; handed to the
+  /// dispatcher, in arrival order, when start() spawns it.
+  std::vector<net::Message> parked_;
 
   SiteContext ctx_;
   Coordinator coordinator_;

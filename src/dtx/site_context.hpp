@@ -148,6 +148,12 @@ struct SiteStats {
   std::uint64_t orphans_aborted = 0;
   std::uint64_t commit_resends = 0;
   std::uint64_t restarts = 0;
+  /// Recovery sync at restart (dtx/recovery.hpp): stored replicas caught
+  /// up by appending a peer's redo-log suffix (the O(missed commits) path)
+  /// vs. by adopting a whole peer checkpoint (the peer had compacted past
+  /// a commit missing here).
+  std::uint64_t log_suffix_syncs = 0;
+  std::uint64_t full_syncs = 0;
   /// Aborts the coordinator could not classify (defensive fallback in
   /// finish_transaction; audited to be unreachable — see the regression
   /// test in chaos_test.cpp).

@@ -48,7 +48,7 @@
 // committed-transaction-id *set*: the marker ids plus the tail record
 // ids enumerate exactly which commits a replica holds, and recovery sync
 // ships the records a rejoining replica is missing (renumbered onto its
-// own tail — Cluster::restart_site).
+// own tail — recovery::sync_document, run by Site::restart).
 //
 // Known scale trade-off: a marker carries the document's full commit-id
 // history, so marker size grows linearly with lifetime commits (8-20

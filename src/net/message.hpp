@@ -199,9 +199,9 @@ struct ClientReply {
   std::vector<std::vector<std::string>> rows;
 };
 
-/// Restarting site -> live replica: ship me your durable state of `doc`
-/// (the network form of the recovery sync Cluster::restart_site performs
-/// by reading peer stores directly — dtx/recovery.hpp).
+/// Restarting site (or a fenced import) -> another host: ship me your
+/// durable state of `doc`. Sent and answered only by core::Site — the
+/// recovery sync of dtx/recovery.hpp and the migration pull.
 struct RecoveryPullRequest {
   std::string doc;
   SiteId requester = 0;
@@ -210,7 +210,8 @@ struct RecoveryPullRequest {
 /// Live replica -> restarting site: the resolved durable document —
 /// checkpoint snapshot bytes plus the repaired log (marker + record tail),
 /// exactly what wal::read_durable_doc resolves locally. ok=false when the
-/// document is not hosted here or no stable read was possible.
+/// store lacks the document, it is a fenced import, or no stable read was
+/// possible.
 struct RecoveryPullReply {
   std::string doc;
   bool ok = false;
@@ -239,9 +240,10 @@ struct CatalogAck {
   SiteId site = 0;
 };
 
-/// Joining daemon -> seed member: admit me. `address` is the joiner's
-/// listen endpoint, distributed to every member through the next epoch's
-/// address book (dtxd --join).
+/// Joining site (Site::join) -> seed member: admit me. `address` is the
+/// joiner's listen endpoint, distributed to every member through the next
+/// epoch's address book (dtxd --join; empty on SimNetwork). A lagging
+/// member also sends its own id to fetch the current catalog.
 struct JoinRequest {
   SiteId site = 0;
   std::string address;

@@ -493,8 +493,8 @@ ChaosReport run_chaos(const ChaosOptions& options) {
     std::this_thread::sleep_for(options.fault_hold);
 
     // Recover: lift partitions, restart the crashed site (its store is
-    // caught up from the freshest peer replica first — Cluster recovery
-    // sync), then drain and check the hygiene invariants.
+    // caught up from the freshest peer replica first — the Site recovery
+    // sync dtxd runs), then drain and check the hygiene invariants.
     cluster.network().heal();
     if (plan.crash) {
       const util::Status restarted = cluster.restart_site(plan.crash_site);

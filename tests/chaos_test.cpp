@@ -11,7 +11,10 @@
 //    ExecuteOperations are answered from the reply cache, duplicated
 //    commit/abort requests are idempotent;
 //  * recovery sync — a replica that missed a commit while crashed is
-//    caught up from the freshest peer on restart (commit versions);
+//    caught up from the freshest peer on restart (commit versions), also
+//    when two crashed replicas restart together and pull from each other;
+//  * recovery pull answers — what a site serves depends on its replica
+//    state (recovering: yes; fenced import or no copy: ok=false);
 //  * abort taxonomy — every non-committed outcome carries a typed reason
 //    (the "defensive default" in Coordinator::finish_transaction is
 //    audited unreachable: unclassified_aborts stays 0 everywhere);
@@ -19,10 +22,12 @@
 //    invariants end to end.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <thread>
 
 #include "dtx/cluster.hpp"
 #include "dtx/wal.hpp"
+#include "storage/memory_store.hpp"
 #include "workload/chaos.hpp"
 #include "xml/parser.hpp"
 #include "xpath/evaluator.hpp"
@@ -432,6 +437,130 @@ TEST(RecoverySyncTest, CrashMidCheckpointRecoversAndAgrees) {
   ASSERT_TRUE(read.is_ok());
   ASSERT_EQ(read.value().state, TxnState::kCommitted);
   EXPECT_EQ(read.value().rows[0][0], "42");
+}
+
+TEST(ConcurrentRestartTest, TwoCrashedSitesRestartTogetherAndAgree) {
+  // Each replica holds a durable commit the other never saw, and both are
+  // down: each restart can only catch up from the other, which is itself
+  // restarting. The recovering sites must answer each other's pulls while
+  // they wait, or both would give up at the deadline and stay divergent.
+  ClusterOptions options = fast_options(2);
+  options.site.response_timeout = std::chrono::microseconds(2'000'000);
+  Cluster cluster(options);
+  ASSERT_TRUE(cluster.load_document("d1", kPeopleXml, {0, 1}).is_ok());
+  ASSERT_TRUE(cluster.start().is_ok());
+  ASSERT_TRUE(cluster.crash_site(0).is_ok());
+  ASSERT_TRUE(cluster.crash_site(1).is_ok());
+  ASSERT_TRUE(
+      cluster.store_of(0)
+          .append(wal::log_key("d1"),
+                  wal::encode_record(
+                      1, 1001,
+                      {"update d1 change "
+                       "/site/people/person[@id='p1']/phone ::= 500"}))
+          .is_ok());
+  ASSERT_TRUE(
+      cluster.store_of(1)
+          .append(wal::log_key("d1"),
+                  wal::encode_record(
+                      1, 1002,
+                      {"update d1 change "
+                       "/site/people/person[@id='p2']/phone ::= 600"}))
+          .is_ok());
+
+  util::Status restarted_1 = util::Status::ok();
+  std::thread other([&] { restarted_1 = cluster.restart_site(1); });
+  const util::Status restarted_0 = cluster.restart_site(0);
+  other.join();
+  ASSERT_TRUE(restarted_0.is_ok()) << restarted_0.to_string();
+  ASSERT_TRUE(restarted_1.is_ok()) << restarted_1.to_string();
+
+  EXPECT_EQ(cluster.stats().log_suffix_syncs, 2u);
+  for (net::SiteId site : {0u, 1u}) {
+    EXPECT_EQ(stored_phone(cluster, site, "p1"), "500") << "site " << site;
+    EXPECT_EQ(stored_phone(cluster, site, "p2"), "600") << "site " << site;
+    auto read = cluster.execute_text(
+        site, {"query d1 /site/people/person[@id='p2']/phone"});
+    ASSERT_TRUE(read.is_ok());
+    ASSERT_EQ(read.value().state, TxnState::kCommitted);
+    EXPECT_EQ(read.value().rows[0][0], "600") << "site " << site;
+  }
+}
+
+TEST(RecoveryPullTest, AnswerFollowsReplicaState) {
+  // One site, one endpoint pulling from it. Peer site 1 is registered but
+  // never runs, so the site's recovering start waits out its whole response
+  // timeout — the window in which the first row is asked.
+  net::SimNetwork network;
+  (void)network.register_site(1);
+  Catalog catalog;
+  ASSERT_TRUE(catalog.add_document("held", {0, 1}).is_ok());
+  ASSERT_TRUE(catalog.add_document("fenced", {0, 1}).is_ok());
+  ASSERT_TRUE(catalog.add_document("absent", {1}).is_ok());
+  storage::MemoryStore store;
+  ASSERT_TRUE(store.store("held", kPeopleXml).is_ok());
+  SiteOptions options;
+  options.poll_interval = std::chrono::microseconds(500);
+  options.response_timeout = std::chrono::microseconds(1'000'000);
+  Site site(options, network, catalog, store);
+
+  const net::SiteId puller = net::kClientIdBase + 1;
+  net::Mailbox& inbox = network.register_site(puller);
+  const auto pull = [&](const std::string& doc) {
+    std::optional<net::RecoveryPullReply> answer;
+    network.send(net::Message{puller, 0, net::RecoveryPullRequest{doc, puller}});
+    while (!answer) {
+      std::optional<net::Message> message = inbox.pop(500'000us);
+      if (!message) break;
+      const auto* reply = std::get_if<net::RecoveryPullReply>(&message->payload);
+      if (reply != nullptr && reply->doc == doc) answer = *reply;
+    }
+    return answer;
+  };
+
+  util::Status started = util::Status::ok();
+  std::thread starter(
+      [&] { started = site.start(Site::Startup::kRecover); });
+  const auto serve = [&] {
+    starter.join();
+    ASSERT_TRUE(started.is_ok()) << started.to_string();
+    // Stale pre-adoption bytes under the fence: start() fenced "fenced"
+    // (hosted here, not stored) and no host ever ships it.
+    ASSERT_TRUE(store.store("fenced", kPeopleXml).is_ok());
+  };
+
+  struct Case {
+    const char* doc;
+    bool while_recovering;
+    bool served;
+  };
+  const Case cases[] = {
+      {"held", true, true},      // a recovering replica serves its state
+      {"fenced", false, false},  // a fenced import never serves
+      {"absent", false, false},  // no stored copy
+      {"held", false, true},     // ... and the running site still serves
+  };
+  for (const Case& row : cases) {
+    SCOPED_TRACE(std::string(row.doc) +
+                 (row.while_recovering ? " (recovering)" : " (running)"));
+    if (!row.while_recovering && starter.joinable()) {
+      serve();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    const std::optional<net::RecoveryPullReply> reply = pull(row.doc);
+    if (!reply) {
+      ADD_FAILURE() << "no answer";
+      continue;
+    }
+    EXPECT_EQ(reply->ok, row.served);
+    if (row.while_recovering) {
+      EXPECT_FALSE(site.running());
+    }
+    if (row.served) {
+      EXPECT_EQ(reply->snapshot, kPeopleXml);
+    }
+  }
+  if (starter.joinable()) starter.join();
 }
 
 // --- abort taxonomy (regression for the audited defensive default) -----------

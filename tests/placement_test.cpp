@@ -11,7 +11,9 @@
 //    catalog anti-entropy, and the retry commits;
 //  * elastic membership — add_site migrates replicas onto the joiner and
 //    remove_site drains it, under a seeded chaotic network, ending with
-//    byte-identical replicas and no dangling locks.
+//    byte-identical replicas and no dangling locks;
+//  * decommission drain — a leaving site reports done only after the
+//    transactions it coordinates ended, refusing new ones meanwhile.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -402,6 +404,60 @@ TEST_F(MembershipTest, AddSiteServesNewTrafficOnJoiner) {
   for (const std::string& doc : doc_names()) {
     expect_replicas_agree(cluster, doc, view->sites_of(doc));
   }
+}
+
+TEST(DecommissionTest, DrainsOwnTransactionsBeforeReportingDone) {
+  // The host stops a site the moment it reports decommissioned(); a commit
+  // fan-out still running there would be cut short, and its participants
+  // would presume abort of a committed transaction. So a leaving site with
+  // no replicas left refuses new work and reports done only once the
+  // transactions it coordinates have ended.
+  ClusterOptions options = fast_options(3);
+  options.site.response_timeout = std::chrono::microseconds(600'000);
+  Cluster cluster(options);
+  ASSERT_TRUE(cluster.load_document("d1", kPeopleXml, {1, 2}).is_ok());
+  ASSERT_TRUE(cluster.start().is_ok());
+
+  // Site 0 hosts nothing. Its transaction stalls: the participants'
+  // replies never reach it, so it runs until its response timeout.
+  cluster.network().faults([](net::FaultPlan& plan) {
+    plan.set_message_filter([](const net::Message& message) {
+      return message.to == 0 &&
+             std::holds_alternative<net::OperationResult>(message.payload);
+    });
+  });
+  auto stalled = cluster.submit_text(
+      0, {"update d1 change /site/people/person[@id='p1']/phone ::= 5"});
+  ASSERT_TRUE(stalled.is_ok());
+  Site& leaver = cluster.site(0);
+  leaver.begin_leave();
+
+  // With no replica left to ship, the leaver soon refuses new work — at
+  // submission, before anything runs. (Probes admitted earlier queue
+  // behind the stalled transaction on the one coordinator worker.)
+  txn::TxnResult refused;
+  const auto refuse_by = std::chrono::steady_clock::now() + 2s;
+  while (refused.reason != AbortReason::kStaleCatalog &&
+         std::chrono::steady_clock::now() < refuse_by) {
+    auto probe = cluster.submit_text(0, {"query d1 /site/people/person"});
+    ASSERT_TRUE(probe.is_ok());
+    if (probe.value()->completed()) {
+      refused = probe.value()->await();
+    } else {
+      std::this_thread::sleep_for(5ms);
+    }
+  }
+  EXPECT_EQ(refused.reason, AbortReason::kStaleCatalog) << refused.detail;
+  EXPECT_FALSE(leaver.decommissioned())
+      << "reported done while a transaction it coordinates still runs";
+
+  EXPECT_NE(stalled.value()->await().state, TxnState::kCommitted);
+  const auto done_by = std::chrono::steady_clock::now() + 2s;
+  while (!leaver.decommissioned() &&
+         std::chrono::steady_clock::now() < done_by) {
+    std::this_thread::sleep_for(5ms);
+  }
+  EXPECT_TRUE(leaver.decommissioned());
 }
 
 }  // namespace

@@ -110,10 +110,9 @@ class ProcCluster {
         "--store=" + store_dir(site).string(),
         std::string("--docs=") + kDoc + ":0,1,2",
         "--load=" + std::string(kDoc) + ":" + seed_path_.string(),
-        // Keep recovery snappy and make orphaned state clean up within
-        // the test budget after the kill -9.
-        "--connect_wait_ms=1500",
-        "--sync_timeout_ms=2000",
+        // Keep recovery snappy (its waits scale with the response
+        // timeout) and make orphaned state clean up within the test
+        // budget after the kill -9.
         "--response_timeout_ms=2000",
         "--orphan_timeout_ms=1000",
         "--log_level=4",  // errors only; keep the gtest output readable
@@ -141,8 +140,6 @@ class ProcCluster {
         "--listen=" + address(site),
         "--join=" + std::to_string(seed_site) + "=" + address(seed_site),
         "--store=" + store_dir(site).string(),
-        "--connect_wait_ms=1500",
-        "--sync_timeout_ms=2000",
         "--response_timeout_ms=2000",
         "--orphan_timeout_ms=1000",
         "--log_level=4",
