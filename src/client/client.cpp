@@ -67,7 +67,8 @@ namespace {
 
 /// Catalog-affinity scoring: the site hosting the most of the
 /// transaction's operation references coordinates (every local reference
-/// is one ExecuteOperation round trip saved). Ties break to the lowest
+/// runs in the coordinator's own slice, delivered without crossing the
+/// wire, and leaves the remote slices smaller). Ties break to the lowest
 /// site id so routing is deterministic.
 SiteId affinity_site(const Cluster& cluster, const PreparedTxn& txn,
                      bool* resolved) {

@@ -42,7 +42,7 @@ struct RoutingPolicy {
     kExplicit,         ///< always the configured site (the paper's model)
     kRoundRobin,       ///< rotate over all sites (cursor shared per Client)
     kCatalogAffinity,  ///< site hosting the most operations' documents —
-                       ///< minimizes remote ExecuteOperation fan-out
+                       ///< keeps the most operations in the local slice
   };
   Kind kind = Kind::kExplicit;
   SiteId site = 0;  ///< kExplicit only
@@ -94,8 +94,8 @@ struct SessionOptions {
   /// Route *read-only* transactions by catalog affinity regardless of the
   /// routing policy. A read-only transaction coordinated at a site hosting
   /// its documents is served from that site's MVCC snapshots in a single
-  /// local round — no ExecuteOperation / SnapshotReadRequest fan-out at
-  /// all. Update transactions keep the configured policy.
+  /// local round — no SnapshotReadRequest fan-out at all. Update
+  /// transactions keep the configured policy.
   bool read_only_affinity = false;
 };
 

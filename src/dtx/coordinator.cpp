@@ -45,7 +45,7 @@ void Coordinator::run() {
     if (ctx_.options.snapshot_reads && next->read_only()) {
       execute_snapshot(next);
     } else {
-      execute_one_operation(next);
+      execute_slices(next);
     }
   }
 }
@@ -90,9 +90,9 @@ void Coordinator::retry_overdue_waiters() {
   }
 }
 
-void Coordinator::execute_one_operation(const TransactionPtr& txn) {
-  const std::size_t op_index = txn->next_operation();
-  if (op_index == txn->op_count()) {
+void Coordinator::execute_slices(const TransactionPtr& txn) {
+  const std::size_t first = txn->next_operation();
+  if (first == txn->op_count()) {
     // Alg. 1 l. 24-26: no operation left -> commit.
     commit_transaction(txn);
     return;
@@ -108,27 +108,164 @@ void Coordinator::execute_one_operation(const TransactionPtr& txn) {
     abort_stale_catalog(txn);
     return;
   }
-  const txn::Operation& op = txn->ops()[op_index];
-  const std::vector<SiteId>& sites = view->sites_of(op.doc);
-  if (sites.empty()) {
-    txn->state_of(op_index).failed = true;
-    txn->state_of(op_index).reason = txn::AbortReason::kParseError;
-    txn->state_of(op_index).error =
-        "document '" + op.doc + "' is not in the catalog";
-    txn->set_abort_reason(txn::AbortReason::kParseError);
-    abort_transaction(txn, false);
-    return;
-  }
-  if (sites.size() == 1 && sites.front() == ctx_.options.id) {
-    if (ctx_.is_importing(op.doc)) {
-      // This replica is still being migrated in; the data is not here yet.
-      abort_stale_catalog(txn);
+
+  // Alg. 1 l. 12-13, one-shot: every remaining operation leaves now, as one
+  // ordered slice per hosting site — this site's own slice included, served
+  // by its participant workers through the network's local delivery.
+  std::map<SiteId, net::ExecuteOperation> slices;
+  for (std::size_t i = first; i < txn->op_count(); ++i) {
+    const txn::Operation& op = txn->ops()[i];
+    txn::OperationState& state = txn->state_of(i);
+    const std::vector<SiteId>& sites = view->sites_of(op.doc);
+    if (sites.empty()) {
+      state.failed = true;
+      state.reason = txn::AbortReason::kParseError;
+      state.error = "document '" + op.doc + "' is not in the catalog";
+      txn->set_abort_reason(txn::AbortReason::kParseError);
+      abort_transaction(txn, false);
       return;
     }
-    execute_local(txn, op_index);
-  } else {
-    execute_remote(txn, op_index, sites);
+    ++state.attempts;
+    state.reset_attempt();
+    for (SiteId site : sites) {
+      net::ExecuteOperation& slice = slices[site];
+      slice.op_indices.push_back(static_cast<std::uint32_t>(i));
+      slice.ops.push_back(op);
+    }
   }
+  // Every round covers the operations from `first` to the end, so the
+  // attempt count of `first` numbers the round — the same at every site.
+  const std::uint32_t attempt = txn->state_of(first).attempts;
+
+  {
+    sync::MutexLock lock(ctx_.resp_mutex);
+    SiteContext::ResponseSlot& slot = ctx_.responses[txn->id()];
+    slot.attempt = attempt;
+    slot.replies.clear();
+  }
+  std::vector<SiteId> targets;
+  for (auto& [site, slice] : slices) {
+    targets.push_back(site);
+    slice.txn = txn->id();
+    slice.attempt = attempt;
+    slice.coordinator = ctx_.options.id;
+    slice.epoch = txn->catalog_epoch();
+    ctx_.send(site, std::move(slice));
+  }
+
+  const std::map<SiteId, net::OperationResult> replies =
+      await_responses(txn->id(), attempt, targets.size());
+  {
+    sync::MutexLock lock(ctx_.resp_mutex);
+    ctx_.responses.erase(txn->id());
+  }
+  if (!ctx_.running.load()) return;
+  // Every site that answered joins the transaction before anything else
+  // happens, whatever it answered: what it executed is then consolidated by
+  // the commit or rolled back by the abort fan-out, even after a later
+  // round undid and re-parked the transaction. A site that never answered
+  // is left to its presumed-abort orphan sweep, as a crashed site must be.
+  for (const auto& [site, reply] : replies) txn->add_sites({site});
+
+  const auto executed_at = [&](SiteId site, std::size_t op_index) {
+    const auto it = replies.find(site);
+    if (it == replies.end()) return false;
+    const std::vector<std::uint32_t>& done = it->second.op_indices;
+    return std::binary_search(done.begin(), done.end(), op_index);
+  };
+  // Adopt the prefix of operations that executed at every replica, with
+  // the rows of the lowest-id replica.
+  std::size_t stop = first;
+  for (; stop < txn->op_count(); ++stop) {
+    const std::vector<SiteId>& sites = view->sites_of(txn->ops()[stop].doc);
+    if (!std::all_of(sites.begin(), sites.end(),
+                     [&](SiteId site) { return executed_at(site, stop); })) {
+      break;
+    }
+    txn::OperationState& state = txn->state_of(stop);
+    state.executed = true;
+    const SiteId source = *std::min_element(sites.begin(), sites.end());
+    const net::OperationResult& reply = replies.at(source);
+    const auto pos = std::lower_bound(reply.op_indices.begin(),
+                                      reply.op_indices.end(), stop);
+    state.rows = reply.rows[static_cast<std::size_t>(
+        pos - reply.op_indices.begin())];
+  }
+  if (stop == txn->op_count()) {
+    requeue(txn);  // the next claim commits
+    return;
+  }
+
+  // The first operation that did not execute everywhere decides the round,
+  // as if it had been sent alone. Each of its replicas either executed it
+  // or stopped its slice at it (everything before it executed everywhere).
+  txn::OperationState& state = txn->state_of(stop);
+  const std::vector<SiteId>& stop_sites =
+      view->sites_of(txn->ops()[stop].doc);
+  bool any_failed = false;
+  bool any_deadlock = false;
+  bool timed_out = false;
+  txn::AbortReason participant_reason = txn::AbortReason::kNone;
+  std::string participant_error;
+  for (SiteId site : stop_sites) {
+    const auto it = replies.find(site);
+    if (it == replies.end()) {
+      timed_out = true;
+      continue;
+    }
+    if (executed_at(site, stop)) continue;
+    const net::OperationResult& reply = it->second;
+    any_failed |= reply.failed;
+    any_deadlock |= reply.deadlock;
+    if (reply.failed && participant_reason == txn::AbortReason::kNone) {
+      participant_reason = reply.reason;
+      participant_error =
+          reply.error + " (site " + std::to_string(site) + ")";
+    }
+  }
+  any_failed |= timed_out;
+
+  if (any_failed || any_deadlock) {
+    // Alg. 1 l. 19-21. The abort broadcast reaches every site that
+    // answered, so it cleans up wherever anything executed.
+    state.failed = any_failed;
+    state.deadlock = any_deadlock;
+    if (timed_out) {
+      state.reason = txn::AbortReason::kSiteFailure;
+      state.error = "participant response timeout";
+    } else if (any_failed) {
+      state.reason = participant_reason != txn::AbortReason::kNone
+                         ? participant_reason
+                         : txn::AbortReason::kSiteFailure;
+      state.error = participant_error.empty()
+                        ? "operation failed at a participant site"
+                        : std::move(participant_error);
+    }
+    if (any_failed) txn->set_abort_reason(state.reason);
+    abort_transaction(txn, any_deadlock);
+    return;
+  }
+  // Otherwise a lock conflict. Alg. 1 l. 15-17: undo the operation and
+  // everything after it wherever it ran; wait. A site that stopped exactly
+  // at it keeps its wait-for edges (the transaction is blocked there);
+  // every other site whose slice reached past it undoes and drops its
+  // edges, which describe waits the transaction is not blocked on.
+  for (SiteId site : targets) {
+    const auto it = replies.find(site);
+    if (it != replies.end()) {
+      const net::OperationResult& reply = it->second;
+      const bool ran_past =
+          !reply.op_indices.empty() && reply.op_indices.back() >= stop;
+      const bool stopped_later =
+          (reply.lock_conflict || reply.failed || reply.deadlock) &&
+          std::find(stop_sites.begin(), stop_sites.end(), site) ==
+              stop_sites.end();
+      if (!ran_past && !stopped_later) continue;
+    }
+    ctx_.send(site, net::UndoOperation{
+                        txn->id(), static_cast<std::uint32_t>(stop), attempt});
+  }
+  enter_wait(txn);
 }
 
 void Coordinator::abort_stale_catalog(const TransactionPtr& txn) {
@@ -266,142 +403,6 @@ void Coordinator::execute_snapshot(const TransactionPtr& txn) {
   finish_transaction(txn, TxnState::kCommitted);
 }
 
-void Coordinator::execute_local(const TransactionPtr& txn,
-                                std::size_t op_index) {
-  // Alg. 1 l. 6-10. The local path resolves through the same site plan
-  // cache as remote executes, so a wait-mode retry reuses its plan.
-  const txn::Operation& op = txn->ops()[op_index];
-  txn::OperationState& state = txn->state_of(op_index);
-  ++state.attempts;
-  state.reset_attempt();
-  auto plan = ctx_.plans().resolve(op);
-  if (!plan) {
-    state.failed = true;
-    state.reason = txn::AbortReason::kParseError;
-    state.error = plan.status().to_string();
-    txn->set_abort_reason(txn::AbortReason::kParseError);
-    abort_transaction(txn, false);
-    return;
-  }
-  OpOutcome outcome = ctx_.locks().process_operation(
-      txn->id(), static_cast<std::uint32_t>(op_index), *plan.value(),
-      ctx_.options.id);
-  switch (outcome.kind) {
-    case OpOutcome::Kind::kExecuted:
-      state.executed = true;
-      state.rows = std::move(outcome.rows);
-      txn->add_sites({ctx_.options.id});
-      requeue(txn);
-      return;
-    case OpOutcome::Kind::kConflict:
-      enter_wait(txn);
-      return;
-    case OpOutcome::Kind::kDeadlock:
-      state.deadlock = true;
-      abort_transaction(txn, /*deadlock_victim=*/true);
-      return;
-    case OpOutcome::Kind::kFailed:
-      state.failed = true;
-      state.reason = txn::AbortReason::kUnprocessableUpdate;
-      state.error = std::move(outcome.error);
-      txn->set_abort_reason(txn::AbortReason::kUnprocessableUpdate);
-      abort_transaction(txn, false);
-      return;
-  }
-}
-
-void Coordinator::execute_remote(const TransactionPtr& txn,
-                                 std::size_t op_index,
-                                 const std::vector<SiteId>& sites) {
-  // Alg. 1 l. 12-22.
-  const txn::Operation& op = txn->ops()[op_index];
-  txn::OperationState& state = txn->state_of(op_index);
-  ++state.attempts;
-  state.reset_attempt();
-  const auto attempt = state.attempts;
-
-  const std::set<SiteId> expected(sites.begin(), sites.end());
-  {
-    sync::MutexLock lock(ctx_.resp_mutex);
-    SiteContext::ResponseSlot& slot =
-        ctx_.responses[{txn->id(), static_cast<std::uint32_t>(op_index)}];
-    slot.attempt = attempt;
-    slot.replies.clear();
-  }
-  for (SiteId site : sites) {
-    ctx_.send(site, net::ExecuteOperation{
-                        txn->id(), static_cast<std::uint32_t>(op_index),
-                        attempt, ctx_.options.id, txn->catalog_epoch(), op});
-  }
-  const std::map<SiteId, net::OperationResult> replies = await_responses(
-      txn->id(), static_cast<std::uint32_t>(op_index), attempt, expected);
-  {
-    sync::MutexLock lock(ctx_.resp_mutex);
-    ctx_.responses.erase({txn->id(), static_cast<std::uint32_t>(op_index)});
-  }
-  if (!ctx_.running.load()) return;
-
-  bool any_conflict = false;
-  bool any_failed = replies.size() != expected.size();  // timeout == failure
-  bool any_deadlock = false;
-  txn::AbortReason participant_reason = txn::AbortReason::kNone;
-  std::string participant_error;
-  std::vector<SiteId> executed_at;
-  for (const auto& [site, reply] : replies) {
-    if (reply.executed) executed_at.push_back(site);
-    any_conflict |= reply.lock_conflict;
-    any_failed |= reply.failed;
-    any_deadlock |= reply.deadlock;
-    if (reply.failed && participant_reason == txn::AbortReason::kNone) {
-      participant_reason = reply.reason;
-      participant_error =
-          reply.error + " (site " + std::to_string(site) + ")";
-    }
-  }
-
-  if (any_failed || any_deadlock) {
-    // Alg. 1 l. 19-21. Sites that executed the operation are cleaned up by
-    // the abort broadcast (it reaches every site of the transaction).
-    txn->add_sites(executed_at);
-    state.failed = any_failed;
-    state.deadlock = any_deadlock;
-    if (replies.size() != expected.size()) {
-      state.reason = txn::AbortReason::kSiteFailure;
-      state.error = "participant response timeout";
-    } else if (any_failed) {
-      state.reason = participant_reason != txn::AbortReason::kNone
-                         ? participant_reason
-                         : txn::AbortReason::kSiteFailure;
-      state.error = participant_error.empty()
-                        ? "operation failed at a participant site"
-                        : std::move(participant_error);
-    }
-    if (any_failed) txn->set_abort_reason(state.reason);
-    abort_transaction(txn, any_deadlock);
-    return;
-  }
-  if (any_conflict) {
-    // Alg. 1 l. 15-17: undo the operation wherever it executed; wait.
-    for (SiteId site : executed_at) {
-      ctx_.send(site, net::UndoOperation{
-                          txn->id(), static_cast<std::uint32_t>(op_index)});
-    }
-    enter_wait(txn);
-    return;
-  }
-
-  // Executed everywhere: adopt the rows of the lowest-id replica.
-  state.executed = true;
-  txn->add_sites(std::vector<SiteId>(expected.begin(), expected.end()));
-  for (const auto& [site, reply] : replies) {
-    if (reply.executed) {
-      state.rows = reply.rows;
-      break;  // map iteration is ordered by site id
-    }
-  }
-  requeue(txn);
-}
-
 void Coordinator::enter_wait(const TransactionPtr& txn) {
   txn->note_wait_episode();
   {
@@ -451,19 +452,15 @@ void Coordinator::hand_back_claim(const TransactionPtr& txn, bool park) {
 }
 
 std::map<SiteId, net::OperationResult> Coordinator::await_responses(
-    TxnId txn, std::uint32_t op_index, std::uint32_t attempt,
-    const std::set<SiteId>& expected) {
+    TxnId txn, std::uint32_t attempt, std::size_t expected) {
   const auto deadline = Clock::now() + ctx_.options.response_timeout;
   sync::MutexLock lock(ctx_.resp_mutex);
-  const auto key = std::make_pair(txn, op_index);
   for (;;) {
-    const auto it = ctx_.responses.find(key);
+    const auto it = ctx_.responses.find(txn);
     if (it == ctx_.responses.end() || it->second.attempt != attempt) {
       return {};
     }
-    if (it->second.replies.size() >= expected.size()) {
-      return it->second.replies;
-    }
+    if (it->second.replies.size() >= expected) return it->second.replies;
     if (!ctx_.running.load() || Clock::now() >= deadline) {
       return it->second.replies;  // partial (timeout / shutdown)
     }

@@ -1,9 +1,13 @@
 // Coordinator (paper Alg. 1): the scheduler of locally-submitted
-// transactions. One operation of one available transaction at a time per
-// worker — the Site runs `SiteOptions::coordinator_workers` threads over one
-// shared Coordinator, so several local transactions progress concurrently
-// while each individual transaction is still executed one operation at a
-// time by exactly one worker (the `executing` claim in SiteContext).
+// transactions. A transaction arrives whole, so it executes one-shot: each
+// round sends every hosting site its ordered slice of the remaining
+// operations in one ExecuteOperation and waits once for every reply
+// (H-Store / Calvin style). A lock conflict parks the transaction and the
+// next round resends from the conflicting operation. The Site runs
+// `SiteOptions::coordinator_workers` threads over one shared Coordinator, so
+// several local transactions progress concurrently while each transaction
+// is driven by exactly one worker at a time (the `executing` claim in
+// SiteContext).
 #pragma once
 
 #include <map>
@@ -40,7 +44,13 @@ class Coordinator {
   /// interval elapsed.
   void retry_overdue_waiters() DTX_REQUIRES(ctx_.coord_mutex);
 
-  void execute_one_operation(const TransactionPtr& txn);
+  /// One execution round (Alg. 1 l. 12-22, one-shot): sends every hosting
+  /// site its ordered slice of the remaining operations in one
+  /// ExecuteOperation, waits once for all replies, adopts the prefix that
+  /// executed at every replica and lets the first operation that did not
+  /// decide — abort (failed / deadlock) or undo and wait (conflict). With
+  /// nothing left to execute it commits.
+  void execute_slices(const TransactionPtr& txn);
 
   /// MVCC fast path for read-only transactions: every operation is a
   /// query, so the whole transaction executes in one round against
@@ -49,9 +59,6 @@ class Coordinator {
   /// requires no remote cleanup). See dtx/snapshot_store.hpp.
   void execute_snapshot(const TransactionPtr& txn);
 
-  void execute_local(const TransactionPtr& txn, std::size_t op_index);
-  void execute_remote(const TransactionPtr& txn, std::size_t op_index,
-                      const std::vector<SiteId>& sites);
   void commit_transaction(const TransactionPtr& txn);
   void abort_transaction(const TransactionPtr& txn, bool deadlock_victim);
   /// Retryable abort because the catalog moved under the transaction (or a
@@ -73,11 +80,10 @@ class Coordinator {
   /// claim and park (`park`, unless a wake overtook us) or re-queue.
   void hand_back_claim(const TransactionPtr& txn, bool park);
 
-  /// Blocks until every site in `expected` answered (txn, op, attempt) or
+  /// Blocks until `expected` sites answered round `attempt` of `txn` or
   /// the response timeout elapsed. Returns the replies collected.
   std::map<SiteId, net::OperationResult> await_responses(
-      lock::TxnId txn, std::uint32_t op_index, std::uint32_t attempt,
-      const std::set<SiteId>& expected);
+      lock::TxnId txn, std::uint32_t attempt, std::size_t expected);
 
   /// Blocks for commit/abort acks from `expected`. Returns site -> ok.
   std::map<SiteId, bool> await_acks(lock::TxnId txn,

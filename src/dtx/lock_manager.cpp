@@ -114,20 +114,26 @@ OpOutcome LockManager::process_operation(TxnId txn, std::uint32_t op_index,
   return outcome;
 }
 
-void LockManager::undo_operation(TxnId txn, std::uint32_t op_index) {
-  OpRecord record;
+void LockManager::undo_from(TxnId txn, std::uint32_t first_op) {
+  std::vector<OpRecord> undone;
   {
     sync::MutexLock records_lock(records_mutex_);
-    const auto it = op_records_.find({txn, op_index});
-    if (it == op_records_.end()) return;  // never executed here
-    record = std::move(it->second);
-    op_records_.erase(it);
+    const auto begin = op_records_.lower_bound({txn, first_op});
+    auto end = begin;
+    for (; end != op_records_.end() && end->first.first == txn; ++end) {
+      undone.push_back(std::move(end->second));
+    }
+    op_records_.erase(begin, end);
   }
-  if (record.did_update) {
-    sync::ExclusiveLock write_latch(data_latch_);
-    data_.undo_to(txn, record.doc, record.undo_token);
+  // Newest first: each undo token rewinds its document's undo log to
+  // before that operation, so later operations must already be gone.
+  for (auto it = undone.rbegin(); it != undone.rend(); ++it) {
+    if (it->did_update) {
+      sync::ExclusiveLock write_latch(data_latch_);
+      data_.undo_to(txn, it->doc, it->undo_token);
+    }
+    table_.rollback(txn, it->journal);
   }
-  table_.rollback(txn, record.journal);
 }
 
 Status LockManager::commit(TxnId txn, std::vector<WakeNotice>& wakes) {

@@ -6,7 +6,7 @@
 //
 // It additionally keeps:
 //  * per-(transaction, operation) acquisition journals + undo checkpoints so
-//    a distributed operation that failed to lock at another site can be
+//    the operations from one that failed to lock at another site on can be
 //    undone here alone (Alg. 1 l. 16);
 //  * wake subscriptions: who must be notified when a blocking transaction
 //    releases its locks (paper §2.2: waiting transactions "start executing
@@ -107,10 +107,10 @@ class LockManager {
                               const query::Plan& plan,
                               SiteId waiter_coordinator);
 
-  /// Undoes one operation's effects and releases the locks it acquired
-  /// (Alg. 1 l. 16). Only valid for the transaction's most recent operation
-  /// at this site.
-  void undo_operation(lock::TxnId txn, std::uint32_t op_index);
+  /// Undoes the effects of every operation of `txn` from `first_op` on that
+  /// executed here, newest first, and releases the locks they acquired
+  /// (Alg. 1 l. 16). Earlier operations keep their effects and locks.
+  void undo_from(lock::TxnId txn, std::uint32_t first_op);
 
   /// Commit at this site: persist, drop undo logs, release locks, clear
   /// wait-for state (Alg. 5 l. 10-11). Returns who to wake.

@@ -1,5 +1,7 @@
 #include "dtx/participant.hpp"
 
+#include <algorithm>
+
 #include "dtx/snapshot_read.hpp"
 #include "util/log.hpp"
 
@@ -114,17 +116,20 @@ void Participant::gossip_catalog(SiteId peer, std::uint64_t peer_epoch) {
 }
 
 void Participant::handle_execute(const net::ExecuteOperation& request) {
-  // Alg. 2 l. 4-13.
+  // Alg. 2 l. 4-13, once per slice: the operations run in transaction
+  // order under the same XDGL locks, and the first one that does not
+  // execute ends the slice.
+  net::OperationResult reply;
+  reply.txn = request.txn;
+  reply.attempt = request.attempt;
   // Membership fence first, before any state is created for the
   // transaction: a request routed under a different catalog epoch — or one
   // targeting a replica this site is still importing — is rejected
   // retryably, leaving nothing for the orphan sweep to clean up.
-  if (request.epoch != ctx_.catalog.epoch() ||
-      ctx_.is_importing(request.op.doc)) {
-    net::OperationResult reply;
-    reply.txn = request.txn;
-    reply.op_index = request.op_index;
-    reply.attempt = request.attempt;
+  const auto importing = std::find_if(
+      request.ops.begin(), request.ops.end(),
+      [&](const txn::Operation& op) { return ctx_.is_importing(op.doc); });
+  if (request.epoch != ctx_.catalog.epoch() || importing != request.ops.end()) {
     reply.failed = true;
     reply.reason = txn::AbortReason::kStaleCatalog;
     reply.error = "catalog epoch " + std::to_string(request.epoch) +
@@ -141,79 +146,82 @@ void Participant::handle_execute(const net::ExecuteOperation& request) {
     // Track the transaction for the presumed-abort orphan sweep, and
     // answer duplicated deliveries (FaultPlan duplication) from the reply
     // cache: re-running an already-executed update would apply its effects
-    // twice. Only a *newer* attempt (wait-mode re-execution after an undo)
-    // reaches the lock manager again.
+    // twice. Only a *newer* attempt (a wait-mode resend) reaches the lock
+    // manager again.
     sync::MutexLock lock(ctx_.part_mutex);
     SiteContext::RemoteTxn& record = ctx_.remote_txns[request.txn];
     record.coordinator = request.coordinator;
     record.epoch = request.epoch;
     record.last_seen = SiteContext::Clock::now();
     record.unanswered_probes = 0;
-    const auto cached = record.last_replies.find(request.op_index);
-    if (cached != record.last_replies.end() &&
-        cached->second.attempt >= request.attempt) {
-      ctx_.send(request.coordinator, cached->second);
+    if (record.last_reply.attempt >= request.attempt) {
+      ctx_.send(request.coordinator, record.last_reply);
       return;
     }
   }
+  // A newer attempt supersedes whatever earlier ones left here from its
+  // first operation on. The coordinator does send UndoOperation before
+  // resending (Alg. 1 l. 16), but that message can be lost — re-applying
+  // on top of the un-undone first attempt would double the operations'
+  // effects at this replica only.
+  if (!request.op_indices.empty()) {
+    ctx_.locks().undo_from(request.txn, request.op_indices.front());
+  }
+  std::size_t processed = 0;
+  for (; processed < request.ops.size(); ++processed) {
+    const std::uint32_t op_index = request.op_indices[processed];
+    // Resolve the typed operation through the site plan cache: wait-mode
+    // resends and repeated workload operations run the cached plan — no
+    // parsing happens on this path.
+    auto plan = ctx_.plans().resolve(request.ops[processed]);
+    if (!plan) {
+      reply.failed = true;
+      reply.reason = txn::AbortReason::kParseError;
+      reply.error = plan.status().to_string();
+      break;
+    }
+    OpOutcome outcome = ctx_.locks().process_operation(
+        request.txn, op_index, *plan.value(), request.coordinator);
+    if (outcome.kind == OpOutcome::Kind::kExecuted) {
+      reply.op_indices.push_back(op_index);
+      reply.rows.push_back(std::move(outcome.rows));
+      continue;
+    }
+    reply.lock_conflict = outcome.kind == OpOutcome::Kind::kConflict;
+    reply.deadlock = outcome.kind == OpOutcome::Kind::kDeadlock;
+    if (outcome.kind == OpOutcome::Kind::kFailed) {
+      reply.failed = true;
+      reply.reason = txn::AbortReason::kUnprocessableUpdate;
+      reply.error = std::move(outcome.error);
+    }
+    break;
+  }
   {
     sync::MutexLock lock(ctx_.stats_mutex);
-    ++ctx_.stats.remote_ops_processed;
-  }
-  // A newer attempt supersedes whatever the previous one left here. The
-  // coordinator does send UndoOperation before re-executing (Alg. 1
-  // l. 16), but that message can be lost — re-applying on top of the
-  // un-undone first attempt would double the operation's effects at this
-  // replica only.
-  ctx_.locks().undo_operation(request.txn, request.op_index);
-  net::OperationResult reply;
-  reply.txn = request.txn;
-  reply.op_index = request.op_index;
-  reply.attempt = request.attempt;
-
-  // Resolve the typed operation through the site plan cache: wait-mode
-  // re-executions (attempt > 1) and repeated workload operations run the
-  // cached plan — no parsing happens on this path.
-  auto plan = ctx_.plans().resolve(request.op);
-  if (!plan) {
-    reply.failed = true;
-    reply.reason = txn::AbortReason::kParseError;
-    reply.error = plan.status().to_string();
-  } else {
-    OpOutcome outcome = ctx_.locks().process_operation(
-        request.txn, request.op_index, *plan.value(), request.coordinator);
-    switch (outcome.kind) {
-      case OpOutcome::Kind::kExecuted:
-        reply.executed = true;
-        reply.rows = std::move(outcome.rows);
-        break;
-      case OpOutcome::Kind::kConflict:
-        reply.lock_conflict = true;
-        break;
-      case OpOutcome::Kind::kDeadlock:
-        reply.deadlock = true;
-        break;
-      case OpOutcome::Kind::kFailed:
-        reply.failed = true;
-        reply.reason = txn::AbortReason::kUnprocessableUpdate;
-        reply.error = std::move(outcome.error);
-        break;
-    }
+    ctx_.stats.remote_ops_processed +=
+        std::min(processed + 1, request.ops.size());
   }
   {
     sync::MutexLock lock(ctx_.part_mutex);
     const auto it = ctx_.remote_txns.find(request.txn);
     if (it != ctx_.remote_txns.end()) {
       it->second.last_seen = SiteContext::Clock::now();
-      it->second.last_replies[request.op_index] = reply;
+      it->second.last_reply = reply;
     }
   }
   ctx_.send(request.coordinator, std::move(reply));
 }
 
 void Participant::handle_undo(const net::UndoOperation& request) {
-  touch_remote_txn(request.txn);
-  ctx_.locks().undo_operation(request.txn, request.op_index);
+  {
+    sync::MutexLock lock(ctx_.part_mutex);
+    const auto it = ctx_.remote_txns.find(request.txn);
+    if (it == ctx_.remote_txns.end()) return;  // nothing executed here
+    if (it->second.last_reply.attempt > request.attempt) return;  // stale
+    it->second.last_seen = SiteContext::Clock::now();
+  }
+  ctx_.locks().undo_from(request.txn, request.op_index);
+  ctx_.locks().clear_waiter(request.txn);
 }
 
 void Participant::handle_commit(const net::CommitRequest& request,

@@ -1,6 +1,10 @@
-// Participant (paper Alg. 2): executes remote operations and the commit /
-// abort / fail messages of distributed transactions ("this procedure is also
-// common to the coordinator" — every site runs both roles). The Site runs
+// Participant (paper Alg. 2): executes slices of distributed transactions
+// and their commit / abort / fail messages ("this procedure is also common
+// to the coordinator" — every site runs both roles, and a coordinator's own
+// slice is served here too). A slice is every remaining operation of one
+// transaction that this site hosts: it runs in transaction order under the
+// XDGL locks, stops at the first operation that does not execute, and is
+// answered with one OperationResult. The Site runs
 // `SiteOptions::participant_workers` threads over one shared Participant.
 // Workers only pick up a request when no other worker is serving the same
 // transaction (SiteContext::participant_active), so per-transaction
@@ -25,6 +29,9 @@ class Participant {
   void run();
 
  private:
+  /// Runs one slice. A newer attempt first undoes, newest first, every
+  /// operation from the slice's first one on that an earlier attempt left
+  /// here; a duplicated delivery is answered from the reply cache.
   void handle_execute(const net::ExecuteOperation& request);
   /// MVCC serving path: evaluates a read-only transaction's queries
   /// against this site's versioned snapshots. Stateless single round — no

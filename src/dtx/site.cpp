@@ -402,8 +402,7 @@ void Site::dispatcher_loop() {
             } else if constexpr (std::is_same_v<T, net::OperationResult>) {
               {
                 sync::MutexLock lock(ctx_.resp_mutex);
-                const auto it =
-                    ctx_.responses.find({payload.txn, payload.op_index});
+                const auto it = ctx_.responses.find(payload.txn);
                 if (it != ctx_.responses.end() &&
                     it->second.attempt == payload.attempt) {
                   it->second.replies[m.from] = std::move(payload);

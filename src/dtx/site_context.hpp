@@ -7,7 +7,8 @@
 //   ready      — queued for a coordinator worker,
 //   waiting    — parked on a lock conflict (woken by WakeTxn / the retry
 //                backstop),
-//   executing  — claimed by one coordinator worker for one operation.
+//   executing  — claimed by one coordinator worker for one execution round
+//                (its slices out, their replies awaited) or its commit.
 // Transitions happen under coord_mutex, which is what makes a *pool* of
 // coordinator workers safe: no two workers can claim the same transaction,
 // and victim aborts for an executing transaction are parked in
@@ -59,13 +60,13 @@ struct SiteOptions {
   /// shared queue. 1 = the paper's single scheduler loop, preserved
   /// bit-for-bit; >1 keeps several local transactions in flight at once.
   std::size_t coordinator_workers = 1;
-  /// Participant (Alg. 2) executor threads. Safe at any count: the
-  /// coordinator's await barriers order every per-transaction message pair.
+  /// Participant (Alg. 2) executor threads. Safe at any count: requests of
+  /// one transaction are served serially (participant_active).
   std::size_t participant_workers = 1;
   /// Shards of the site lock table (1 = single-monitor behavior).
   std::size_t lock_shards = 1;
   /// Site plan cache: compiled operations shared across transactions and
-  /// workers (participant executes + the coordinator's local path). 0
+  /// participant workers. 0
   /// disables caching — every execution compiles a private plan, the
   /// parse-per-execute baseline of bench/abl_plan_cache.
   std::size_t plan_cache_capacity = 1024;
@@ -325,7 +326,7 @@ struct SiteContext {
   /// Participant-side record of every remote transaction with state at
   /// this site: who coordinates it, when it was last heard from (the
   /// presumed-abort sweep input), how many status probes went unanswered,
-  /// and the last reply per operation so duplicated ExecuteOperations are
+  /// and the reply to its newest slice so duplicated ExecuteOperations are
   /// answered from cache instead of re-executing (exactly-once effects
   /// under at-least-once delivery).
   struct RemoteTxn {
@@ -336,15 +337,16 @@ struct SiteContext {
     /// ExecuteOperation here) — the catalog drain (CatalogAck) waits until
     /// no remote transaction of an older epoch still has state at this site.
     std::uint64_t epoch = 0;
-    std::map<std::uint32_t, net::OperationResult> last_replies;
+    /// Reply to the newest slice served here (attempt 0: none yet).
+    net::OperationResult last_reply;
   };
   std::map<lock::TxnId, RemoteTxn> remote_txns DTX_GUARDED_BY(part_mutex);
 
   /// Importing fence: documents this site hosts
   /// under the current epoch but whose replica has not been adopted yet
-  /// (awaiting MigrateDoc / a recovery pull). Participant executes,
-  /// snapshot serving and the coordinator's local path reject fenced
-  /// documents with the retryable kStaleCatalog until adoption unfences.
+  /// (awaiting MigrateDoc / a recovery pull). Participant executes and
+  /// snapshot serving reject fenced documents with the retryable
+  /// kStaleCatalog until adoption unfences.
   std::set<std::string> importing_docs DTX_GUARDED_BY(part_mutex);
 
   [[nodiscard]] bool is_importing(const std::string& doc) {
@@ -352,15 +354,16 @@ struct SiteContext {
     return importing_docs.count(doc) != 0;
   }
 
-  // --- remote-operation response collection (resp_mutex) ---------------------
+  // --- slice reply collection (resp_mutex) -----------------------------------
+  /// One slot per transaction with slices in flight: the execution round
+  /// (ExecuteOperation::attempt) it awaits and each site's reply to it.
   struct ResponseSlot {
     std::uint32_t attempt = 0;
     std::map<SiteId, net::OperationResult> replies;
   };
   sync::Mutex resp_mutex{sync::LockRank::kSiteResponses};
   sync::CondVar resp_cv;
-  std::map<std::pair<lock::TxnId, std::uint32_t>, ResponseSlot> responses
-      DTX_GUARDED_BY(resp_mutex);
+  std::map<lock::TxnId, ResponseSlot> responses DTX_GUARDED_BY(resp_mutex);
   /// Snapshot-read reply collection (also resp_mutex / resp_cv): one slot
   /// per in-flight read-only transaction, filled by the dispatcher with
   /// each serving site's SnapshotReadReply.

@@ -86,10 +86,11 @@ struct AcquireOutcome {
 };
 
 /// Record of what a successful batch acquisition changed. DTX keeps one per
-/// (transaction, operation) so a remote operation that failed to lock at a
-/// *different* site can release exactly the locks it took here (Alg. 1
-/// l. 16: undo_operation) without touching locks earlier operations of the
-/// same transaction still hold under Strict 2PL.
+/// (transaction, operation) so when an operation fails to lock at a
+/// *different* site, the operations from it on release exactly the locks
+/// they took here (Alg. 1 l. 16: LockManager::undo_from) without touching
+/// locks earlier operations of the same transaction still hold under
+/// Strict 2PL.
 struct AcquisitionJournal {
   struct Item {
     LockTarget target;

@@ -239,22 +239,21 @@ struct EncodeVisitor {
   void operator()(const ExecuteOperation& m) const {
     w.u8(kTagExecuteOperation);
     w.u64(m.txn);
-    w.u32(m.op_index);
     w.u32(m.attempt);
     w.u32(m.coordinator);
     w.u64(m.epoch);
-    w.op(m.op);
+    w.u32_vec(m.op_indices);
+    w.op_vec(m.ops);
   }
   void operator()(const OperationResult& m) const {
     w.u8(kTagOperationResult);
     w.u64(m.txn);
-    w.u32(m.op_index);
     w.u32(m.attempt);
-    w.boolean(m.executed);
+    w.u32_vec(m.op_indices);
+    w.row_vec(m.rows);
     w.boolean(m.lock_conflict);
     w.boolean(m.failed);
     w.boolean(m.deadlock);
-    w.str_vec(m.rows);
     w.u8(static_cast<std::uint8_t>(m.reason));
     w.str(m.error);
   }
@@ -262,6 +261,7 @@ struct EncodeVisitor {
     w.u8(kTagUndoOperation);
     w.u64(m.txn);
     w.u32(m.op_index);
+    w.u32(m.attempt);
   }
   void operator()(const CommitRequest& m) const {
     w.u8(kTagCommitRequest);
@@ -422,23 +422,28 @@ Payload decode_payload(std::uint8_t tag, Reader& r) {
     case kTagExecuteOperation: {
       ExecuteOperation m;
       m.txn = r.u64();
-      m.op_index = r.u32();
       m.attempt = r.u32();
       m.coordinator = r.u32();
       m.epoch = r.u64();
-      m.op = r.op();
+      m.op_indices = r.u32_vec();
+      m.ops = r.op_vec();
+      if (m.ops.size() != m.op_indices.size()) {
+        r.fail("slice indices and operations differ in count");
+      }
       return m;
     }
     case kTagOperationResult: {
       OperationResult m;
       m.txn = r.u64();
-      m.op_index = r.u32();
       m.attempt = r.u32();
-      m.executed = r.boolean();
+      m.op_indices = r.u32_vec();
+      m.rows = r.row_vec();
+      if (m.rows.size() != m.op_indices.size()) {
+        r.fail("slice indices and rows differ in count");
+      }
       m.lock_conflict = r.boolean();
       m.failed = r.boolean();
       m.deadlock = r.boolean();
-      m.rows = r.str_vec();
       m.reason = static_cast<txn::AbortReason>(
           r.enum8(kMaxAbortReason, "abort reason out of range"));
       m.error = r.str();
@@ -448,6 +453,7 @@ Payload decode_payload(std::uint8_t tag, Reader& r) {
       UndoOperation m;
       m.txn = r.u64();
       m.op_index = r.u32();
+      m.attempt = r.u32();
       return m;
     }
     case kTagCommitRequest: return CommitRequest{r.u64()};

@@ -38,7 +38,10 @@ inline constexpr std::uint32_t kMagic = 0x31585444u;  // "DTX1"
 /// Bumped on any incompatible frame change; carried in the Hello handshake.
 /// v2: ExecuteOperation / SnapshotReadRequest carry the catalog epoch, plus
 /// the placement & membership payloads (CatalogUpdate .. DropDoc).
-inline constexpr std::uint32_t kProtocolVersion = 2;
+/// v3: one-shot slices — ExecuteOperation / OperationResult carry a
+/// participant's whole ordered slice of operations, UndoOperation rolls
+/// back from an operation on and carries the attempt.
+inline constexpr std::uint32_t kProtocolVersion = 3;
 /// Number of payload tags the codec knows (tags run 1..kPayloadTagCount).
 /// net_test keeps a hand-written tag-name list asserted against this, so a
 /// new Payload alternative without codec + corpus coverage fails the suite.

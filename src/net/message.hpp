@@ -23,43 +23,58 @@ namespace dtx::net {
 using SiteId = std::uint32_t;
 using lock::TxnId;
 
-/// Coordinator -> participant: execute one operation of a distributed
-/// transaction (Alg. 1 l. 13).
+/// Coordinator -> participant: execute this site's slice of a distributed
+/// transaction (Alg. 1 l. 13, one-shot). A slice is every remaining
+/// operation the site hosts, in transaction order; a one-op slice is the
+/// paper's per-operation message. The participant runs the slice in order
+/// and answers once, with one OperationResult.
 struct ExecuteOperation {
   TxnId txn = 0;
-  std::uint32_t op_index = 0;
-  std::uint32_t attempt = 0;  ///< retry counter (wait mode re-execution)
+  /// Execution round of the transaction: grows by one each time the
+  /// coordinator (re)sends slices, so a participant tells a wait-mode
+  /// resend from a duplicated delivery.
+  std::uint32_t attempt = 0;
   SiteId coordinator = 0;
   /// Catalog epoch the coordinator routed under; a participant on a
   /// different epoch rejects with the retryable AbortReason::kStaleCatalog.
   std::uint64_t epoch = 0;
-  /// Typed operation payload (target document + parsed query / update).
-  /// Contains no node ids — only label paths and literals.
-  txn::Operation op;
+  /// Positions of the slice's operations in the transaction, ascending.
+  std::vector<std::uint32_t> op_indices;
+  /// Typed operation payloads (target document + parsed query / update),
+  /// parallel to op_indices. Contain no node ids — only label paths and
+  /// literals.
+  std::vector<txn::Operation> ops;
 };
 
-/// Participant -> coordinator: outcome of a remote operation (Alg. 2 l. 13).
+/// Participant -> coordinator: outcome of a slice (Alg. 2 l. 13). The
+/// slice stops at its first operation that does not execute; `op_indices`
+/// and `rows` list the executed prefix, and the flags describe the
+/// operation that stopped it. All flags false: the whole slice executed.
 struct OperationResult {
   TxnId txn = 0;
-  std::uint32_t op_index = 0;
   std::uint32_t attempt = 0;
-  bool executed = false;
+  std::vector<std::uint32_t> op_indices;  ///< executed operations, in order
+  std::vector<std::vector<std::string>> rows;  ///< query results, parallel
   bool lock_conflict = false;  ///< set_adquire_locking(false) in the paper
   bool failed = false;
   bool deadlock = false;       ///< local cycle detected while locking
-  std::vector<std::string> rows;  ///< query results (string values)
   /// Failure taxonomy + detail when `failed` — lets the coordinator report
   /// a typed abort reason to the client instead of a generic string.
   txn::AbortReason reason = txn::AbortReason::kNone;
   std::string error;
 };
 
-/// Coordinator -> participant: undo one operation's effects (Alg. 1 l. 16 —
-/// the operation failed to lock elsewhere, so sites that executed it must
-/// roll it back while the transaction waits).
+/// Coordinator -> participant: roll back, newest first, every operation of
+/// the transaction from `op_index` on that this site executed (Alg. 1
+/// l. 16 — operation `op_index` failed to lock elsewhere, so the sites that
+/// ran it or anything after it undo while the transaction waits). Also
+/// drops the transaction's wait-for edges here: a slice that stopped past
+/// `op_index` recorded waits the transaction is not blocked on. Ignored
+/// when the site already served a newer `attempt`.
 struct UndoOperation {
   TxnId txn = 0;
   std::uint32_t op_index = 0;
+  std::uint32_t attempt = 0;
 };
 
 /// Coordinator -> participant: consolidate the transaction (Alg. 5 l. 4).

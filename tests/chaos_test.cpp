@@ -10,6 +10,9 @@
 //  * exactly-once effects under at-least-once delivery — duplicated
 //    ExecuteOperations are answered from the reply cache, duplicated
 //    commit/abort requests are idempotent;
+//  * one-shot slices — a conflict at one replica undoes the others from
+//    the conflicting operation on and the transaction resumes there; every
+//    replica that answered gets the abort of a victim that was waiting;
 //  * recovery sync — a replica that missed a commit while crashed is
 //    caught up from the freshest peer on restart (commit versions), also
 //    when two crashed replicas restart together and pull from each other;
@@ -77,16 +80,25 @@ ClusterOptions fast_options(std::size_t sites) {
   }
 }
 
+/// String values of `path` in the durable state of `doc` at `site`.
+std::vector<std::string> stored_values(Cluster& cluster, net::SiteId site,
+                                       const std::string& doc,
+                                       const std::string& path) {
+  auto stored = wal::materialize(cluster.store_of(site), doc);
+  EXPECT_TRUE(stored.is_ok()) << doc << " at site " << site;
+  if (!stored.is_ok()) return {};
+  auto parsed = xml::parse(stored.value(), doc);
+  EXPECT_TRUE(parsed.is_ok());
+  auto compiled = xpath::parse(path);
+  EXPECT_TRUE(compiled.is_ok());
+  return xpath::evaluate_strings(compiled.value(), *parsed.value());
+}
+
 std::string stored_phone(Cluster& cluster, net::SiteId site,
                          const std::string& person) {
-  auto stored = wal::materialize(cluster.store_of(site), "d1");
-  EXPECT_TRUE(stored.is_ok());
-  auto parsed = xml::parse(stored.value(), "d1");
-  EXPECT_TRUE(parsed.is_ok());
-  auto path =
-      xpath::parse("/site/people/person[@id='" + person + "']/phone");
-  EXPECT_TRUE(path.is_ok());
-  const auto values = xpath::evaluate_strings(path.value(), *parsed.value());
+  const auto values = stored_values(
+      cluster, site, "d1",
+      "/site/people/person[@id='" + person + "']/phone");
   return values.size() == 1 ? values[0] : "<missing>";
 }
 
@@ -273,19 +285,208 @@ TEST(DuplicationTest, DuplicatedDeliveryIsIdempotent) {
   EXPECT_GT(cluster.stats().faults.duplicated, 0u);
 
   for (net::SiteId site : {0u, 1u}) {
-    auto stored = wal::materialize(cluster.store_of(site), "d1");
-    ASSERT_TRUE(stored.is_ok());
-    auto parsed = xml::parse(stored.value(), "d1");
-    ASSERT_TRUE(parsed.is_ok());
-    auto path = xpath::parse("/site/people/person/@id");
-    ASSERT_TRUE(path.is_ok());
-    const auto ids = xpath::evaluate_strings(path.value(), *parsed.value());
+    const auto ids =
+        stored_values(cluster, site, "d1", "/site/people/person/@id");
     for (int i = 0; i < 5; ++i) {
       const std::string id = "dup" + std::to_string(i);
       EXPECT_EQ(std::count(ids.begin(), ids.end(), id), 1)
           << id << " applied " << std::count(ids.begin(), ids.end(), id)
           << " times at site " << site;
     }
+  }
+}
+
+// --- one-shot slices ---------------------------------------------------------
+//
+// The coordinator sends each hosting site its whole ordered slice of the
+// remaining operations in one ExecuteOperation. The cases below pin what a
+// slice promises: a conflict at one replica rolls the others back from the
+// conflicting operation on and the transaction resumes there; duplicated
+// slices apply once; a lost slice reply aborts like a lost single reply.
+
+/// Polls until the coordinator at `site` has parked a transaction on a lock
+/// conflict at least `episodes` times.
+::testing::AssertionResult waited(Site& site, std::uint64_t episodes,
+                                  std::chrono::milliseconds deadline) {
+  const auto until = std::chrono::steady_clock::now() + deadline;
+  while (site.stats().wait_episodes < episodes) {
+    if (std::chrono::steady_clock::now() >= until) {
+      return ::testing::AssertionFailure()
+             << "site " << site.id() << " saw no wait episode";
+    }
+    std::this_thread::sleep_for(1ms);
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(SliceTest, ConflictAtOneReplicaUndoesTheOthersAndResumesThere) {
+  // d1 lives at sites 0 and 1, d2 at site 1 only; transaction T runs from
+  // site 2. U, from site 0, locks d1's p1 at site 0, and its slice for
+  // site 1 is lost, so U holds that lock until its response timeout aborts
+  // it. T = [insert into d2, change p1, insert into d1]: site 1 executes
+  // all three, site 0 stops at op 1 (U holds p1). So op 0 is adopted, site
+  // 1 undoes ops 2 and 1 (newest first), T waits, U's abort wakes it, and T
+  // resumes at op 1 at both replicas.
+  Cluster cluster(fast_options(3));
+  ASSERT_TRUE(cluster.load_document("d1", kPeopleXml, {0, 1}).is_ok());
+  ASSERT_TRUE(cluster.load_document("d2", kPeopleXml, {1}).is_ok());
+  ASSERT_TRUE(cluster.start().is_ok());
+  cluster.network().faults([](net::FaultPlan& plan) {
+    plan.set_message_filter([](const net::Message& message) {
+      return message.from == 0 && message.to == 1 &&
+             std::holds_alternative<net::ExecuteOperation>(message.payload);
+    });
+  });
+
+  auto u = cluster.submit_text(
+      0, {"update d1 change /site/people/person[@id='p1']/phone ::= u"});
+  ASSERT_TRUE(u.is_ok());
+  const auto locked_by = std::chrono::steady_clock::now() + 1s;
+  while (cluster.site(0).lock_manager().lock_entries() == 0 &&
+         std::chrono::steady_clock::now() < locked_by) {
+    std::this_thread::sleep_for(1ms);
+  }
+  auto t = cluster.submit_text(
+      2, {"update d2 insert into /site/people ::= <person id=\"t0\"/>",
+          "update d1 change /site/people/person[@id='p1']/phone ::= t",
+          "update d1 insert into /site/people ::= <person id=\"t2\"/>"});
+  ASSERT_TRUE(t.is_ok());
+
+  const txn::TxnResult u_result = u.value()->await();
+  EXPECT_EQ(u_result.state, TxnState::kAborted);
+  EXPECT_EQ(u_result.reason, AbortReason::kSiteFailure);
+  const txn::TxnResult result = t.value()->await();
+  EXPECT_EQ(result.state, TxnState::kCommitted) << result.detail;
+  EXPECT_GE(result.wait_episodes, 1u);
+  cluster.network().faults([](net::FaultPlan& plan) {
+    plan.set_message_filter(nullptr);
+  });
+  for (net::SiteId site : {0u, 1u, 2u}) {
+    EXPECT_TRUE(drained(cluster.site(site), 2000ms));
+  }
+
+  // Serial execution of T alone: its change, each insert exactly once.
+  for (net::SiteId site : {0u, 1u}) {
+    EXPECT_EQ(stored_phone(cluster, site, "p1"), "t") << "site " << site;
+    const auto ids =
+        stored_values(cluster, site, "d1", "/site/people/person/@id");
+    EXPECT_EQ(std::count(ids.begin(), ids.end(), "t2"), 1) << "site " << site;
+  }
+  const auto d2_ids =
+      stored_values(cluster, 1, "d2", "/site/people/person/@id");
+  EXPECT_EQ(std::count(d2_ids.begin(), d2_ids.end(), "t0"), 1);
+  EXPECT_EQ(stored_values(cluster, 0, "d1", "/site/people/person/@id"),
+            stored_values(cluster, 1, "d1", "/site/people/person/@id"));
+}
+
+TEST(SliceTest, VictimAbortWhileWaitingReleasesEveryAnsweringReplica) {
+  // Regression for the orphaned undo log: T (from site 2) executes its
+  // update at site 1 and conflicts at site 0, so site 1 undoes it and T
+  // waits. T is then aborted as a deadlock victim while waiting. Site 1
+  // answered T's slice, so it is one of T's sites and gets the abort: its
+  // undo logs and lock entries are 0 at once, not after an orphan sweep
+  // (disabled here by a long timeout).
+  ClusterOptions options = fast_options(3);
+  options.site.response_timeout = std::chrono::microseconds(5'000'000);
+  options.site.orphan_txn_timeout = std::chrono::hours(1);
+  options.site.retry_interval = std::chrono::hours(1);
+  options.site.detect_period = std::chrono::hours(1);
+  Cluster cluster(options);
+  ASSERT_TRUE(cluster.load_document("d1", kPeopleXml, {0, 1}).is_ok());
+  ASSERT_TRUE(cluster.start().is_ok());
+  // U's slice for site 1 arrives long after everything below is over.
+  cluster.network().faults([](net::FaultPlan& plan) {
+    plan.set_link_fault(0, 1, {.extra_delay = 1500ms});
+  });
+
+  auto u = cluster.submit_text(
+      0, {"update d1 change /site/people/person[@id='p1']/phone ::= u"});
+  ASSERT_TRUE(u.is_ok());
+  const auto locked_by = std::chrono::steady_clock::now() + 1s;
+  while (cluster.site(0).lock_manager().lock_entries() == 0 &&
+         std::chrono::steady_clock::now() < locked_by) {
+    std::this_thread::sleep_for(1ms);
+  }
+  auto t = cluster.submit_text(
+      2, {"update d1 change /site/people/person[@id='p1']/phone ::= t"});
+  ASSERT_TRUE(t.is_ok());
+  ASSERT_TRUE(waited(cluster.site(2), 1, 1000ms));
+  EXPECT_GE(cluster.site(1).stats().remote_ops_processed, 1u);
+
+  // The detector's verdict, delivered the way Alg. 4 delivers it.
+  cluster.network().send(
+      net::Message{2, 2, net::VictimAbort{t.value()->id()}});
+  const txn::TxnResult result = t.value()->await();
+  EXPECT_EQ(result.state, TxnState::kAborted);
+  EXPECT_TRUE(result.deadlock_victim);
+  // Right after the abort — U's slice for site 1 is still on the wire.
+  EXPECT_EQ(cluster.site(1).lock_manager().undo_log_count(), 0u);
+  EXPECT_EQ(cluster.site(1).lock_manager().lock_entries(), 0u);
+  EXPECT_EQ(cluster.stats().orphans_aborted, 0u);
+
+  cluster.network().faults([](net::FaultPlan& plan) {
+    plan.clear_link_faults();
+  });
+  EXPECT_EQ(u.value()->await().state, TxnState::kCommitted);
+  for (net::SiteId site : {0u, 1u}) {
+    EXPECT_TRUE(drained(cluster.site(site), 2000ms));
+    EXPECT_EQ(stored_phone(cluster, site, "p1"), "u");
+  }
+}
+
+TEST(SliceTest, DuplicatedSliceAppliesItsEffectsOnce) {
+  Cluster cluster(fast_options(2));
+  ASSERT_TRUE(cluster.load_document("d1", kPeopleXml, {0, 1}).is_ok());
+  ASSERT_TRUE(cluster.start().is_ok());
+  // Every slice is delivered twice; the second copy must be answered from
+  // the reply cache, not run again.
+  cluster.network().faults([](net::FaultPlan& plan) {
+    plan.seed(5);
+    plan.set_default_fault({.duplicate_probability = 1.0});
+  });
+  auto result = cluster.execute_text(
+      0, {"update d1 insert into /site/people ::= <person id=\"s0\"/>",
+          "update d1 change /site/people/person[@id='p1']/phone ::= 7",
+          "update d1 insert into /site/people ::= <person id=\"s2\"/>"});
+  ASSERT_TRUE(result.is_ok());
+  EXPECT_EQ(result.value().state, TxnState::kCommitted);
+  EXPECT_GT(cluster.stats().faults.duplicated, 0u);
+
+  for (net::SiteId site : {0u, 1u}) {
+    EXPECT_TRUE(drained(cluster.site(site), 2000ms));
+    const auto ids =
+        stored_values(cluster, site, "d1", "/site/people/person/@id");
+    EXPECT_EQ(std::count(ids.begin(), ids.end(), "s0"), 1) << "site " << site;
+    EXPECT_EQ(std::count(ids.begin(), ids.end(), "s2"), 1) << "site " << site;
+    EXPECT_EQ(stored_phone(cluster, site, "p1"), "7");
+  }
+}
+
+TEST(SliceTest, DroppedSliceReplyAbortsWithSiteFailure) {
+  Cluster cluster(fast_options(2));
+  ASSERT_TRUE(cluster.load_document("d1", kPeopleXml, {0, 1}).is_ok());
+  ASSERT_TRUE(cluster.start().is_ok());
+  cluster.network().faults([](net::FaultPlan& plan) {
+    plan.set_message_filter([](const net::Message& message) {
+      return message.from == 1 &&
+             std::holds_alternative<net::OperationResult>(message.payload);
+    });
+  });
+  auto result = cluster.execute_text(
+      0, {"update d1 insert into /site/people ::= <person id=\"x0\"/>",
+          "update d1 change /site/people/person[@id='p1']/phone ::= 9"});
+  ASSERT_TRUE(result.is_ok());
+  EXPECT_EQ(result.value().state, TxnState::kAborted);
+  EXPECT_EQ(result.value().reason, AbortReason::kSiteFailure);
+  EXPECT_TRUE(txn::abort_reason_retryable(result.value().reason));
+
+  // Site 1 ran the slice; its orphan sweep rolls it back.
+  cluster.network().faults([](net::FaultPlan& plan) {
+    plan.set_message_filter(nullptr);
+  });
+  for (net::SiteId site : {0u, 1u}) {
+    EXPECT_TRUE(drained(cluster.site(site), 2000ms));
+    EXPECT_EQ(stored_phone(cluster, site, "p1"), "111");
   }
 }
 

@@ -225,13 +225,13 @@ TEST(AbortReasonTest, UnknownDocumentIsParseError) {
 }
 
 TEST(AbortReasonTest, LockWaitExhaustionIsTyped) {
-  // One slow *holder* (its second operation is remote over a 30 ms-latency
-  // link, so it keeps document a's locks for >= 60 ms) and one bounded
-  // *waiter* (max_wait_episodes = 1, fast retry backstop). The waiter holds
-  // nothing else, so no wait-for cycle can ever exist — the only way it
-  // terminates early is the lock-wait bound, typed kLockWaitExhausted.
-  // Two coordinator workers so the waiter is scheduled while the holder's
-  // worker blocks on the remote round trip.
+  // One slow *holder* (its second operation runs at site 1, whose replies
+  // reach site 0 100 ms late, so it keeps document a's locks for > 100 ms
+  // after taking them) and one bounded *waiter* (max_wait_episodes = 1,
+  // fast retry backstop). The waiter holds nothing else, so no wait-for
+  // cycle can ever exist — the only way it terminates early is the
+  // lock-wait bound, typed kLockWaitExhausted. Two coordinator workers so
+  // the waiter is scheduled while the holder's worker awaits its replies.
   ClusterOptions options = small_options();
   options.protocol = lock::ProtocolKind::kXdglPlain;
   options.network.latency = std::chrono::milliseconds(30);
@@ -247,6 +247,11 @@ TEST(AbortReasonTest, LockWaitExhaustionIsTyped) {
   ASSERT_TRUE(cluster.load_document("a", kPeopleXml, {0}).is_ok());
   ASSERT_TRUE(cluster.load_document("r", kPeopleXml, {1}).is_ok());
   ASSERT_TRUE(cluster.start().is_ok());
+  // Both holder slices leave together, so only a slow answer from site 1
+  // keeps the holder's lock on a held while the waiter retries.
+  cluster.network().faults([](net::FaultPlan& plan) {
+    plan.set_link_fault(1, 0, {.extra_delay = std::chrono::milliseconds(100)});
+  });
   Client client(cluster);
   Session session = client.session(
       SessionOptions{RoutingPolicy::explicit_site(0), {}, 0us});

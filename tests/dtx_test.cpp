@@ -292,13 +292,20 @@ TEST(ClusterTest, ConflictingTransactionsSerializeViaWait) {
 
 TEST(ClusterTest, DistributedDeadlockResolvedByVictimAbort) {
   // The §2.4 shape: two transactions at two sites acquire locks on the two
-  // documents in opposite orders. Repeated rounds make at least one
-  // distributed deadlock (and its victim abort) all but certain; every
-  // transaction must terminate either way.
+  // documents in opposite orders. Each document lives at one site and the
+  // link between the sites is slower than local delivery, so each
+  // transaction's first (local) operation locks before the other's second
+  // (remote) one arrives — a distributed deadlock in every round, since
+  // both slices of a transaction leave at once. Every transaction must
+  // terminate either way.
   Cluster cluster(fast_options(2));
-  ASSERT_TRUE(cluster.load_document("d1", kPeopleXml, {0, 1}).is_ok());
-  ASSERT_TRUE(cluster.load_document("d2", kProductsXml, {0, 1}).is_ok());
+  ASSERT_TRUE(cluster.load_document("d1", kPeopleXml, {0}).is_ok());
+  ASSERT_TRUE(cluster.load_document("d2", kProductsXml, {1}).is_ok());
   ASSERT_TRUE(cluster.start().is_ok());
+  cluster.network().faults([](net::FaultPlan& plan) {
+    plan.set_link_fault(0, 1, {.extra_delay = std::chrono::milliseconds(5)});
+    plan.set_link_fault(1, 0, {.extra_delay = std::chrono::milliseconds(5)});
+  });
 
   std::uint64_t deadlocks = 0;
   for (int round = 0; round < 20 && deadlocks == 0; ++round) {

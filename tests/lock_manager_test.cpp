@@ -169,7 +169,7 @@ TEST_F(LockManagerTest, UndoOperationRollsBackDocAndLocks) {
   const std::size_t entries_held = locks_->lock_entries();
   ASSERT_GT(entries_held, 0u);
 
-  locks_->undo_operation(1, 0);
+  locks_->undo_from(1, 0);
   EXPECT_EQ(locks_->lock_entries(), 0u);
   // The insert is gone from the in-memory document.
   const OpOutcome check = locks_->process_operation(
@@ -179,8 +179,51 @@ TEST_F(LockManagerTest, UndoOperationRollsBackDocAndLocks) {
 }
 
 TEST_F(LockManagerTest, UndoOperationForUnknownOpIsNoop) {
-  locks_->undo_operation(42, 7);  // never executed here
+  locks_->undo_from(42, 7);  // never executed here
   EXPECT_EQ(locks_->lock_entries(), 0u);
+}
+
+// A slice undo: every operation from op 1 on rolls back, newest first, and
+// op 0 keeps its effect and its locks.
+TEST_F(LockManagerTest, UndoFromRollsBackLaterOperationsNewestFirst) {
+  ASSERT_EQ(locks_
+                ->process_operation(
+                    1, 0,
+                    op("update d1 change "
+                       "/site/people/person[@id='p1']/name ::= Anna"),
+                    kCoordA)
+                .kind,
+            OpOutcome::Kind::kExecuted);
+  const std::size_t entries_after_first = locks_->lock_entries();
+  ASSERT_EQ(locks_
+                ->process_operation(
+                    1, 1,
+                    op("update d1 insert into /site/people ::= "
+                       "<person id=\"p9\"><name>Nine</name></person>"),
+                    kCoordA)
+                .kind,
+            OpOutcome::Kind::kExecuted);
+  ASSERT_EQ(locks_
+                ->process_operation(
+                    1, 2,
+                    op("update d1 change "
+                       "/site/people/person[@id='p9']/name ::= Nueve"),
+                    kCoordA)
+                .kind,
+            OpOutcome::Kind::kExecuted);
+
+  locks_->undo_from(1, 1);
+  EXPECT_EQ(locks_->lock_entries(), entries_after_first);
+  // The transaction's own read sees op 0's change and no trace of 1 and 2.
+  const OpOutcome check = locks_->process_operation(
+      1, 1, op("query d1 /site/people/person/name"), kCoordA);
+  ASSERT_EQ(check.kind, OpOutcome::Kind::kExecuted);
+  EXPECT_EQ(check.rows, (std::vector<std::string>{"Anna", "Bruno"}));
+
+  std::vector<WakeNotice> wakes;
+  locks_->abort(1, wakes);
+  EXPECT_EQ(locks_->lock_entries(), 0u);
+  EXPECT_EQ(locks_->undo_log_count(), 0u);
 }
 
 TEST_F(LockManagerTest, CommitPersistsToStorage) {

@@ -114,9 +114,10 @@ TEST(SimNetworkTest, PerLinkFifoUnderBandwidthModel) {
   // would overtake the large one.
   ExecuteOperation big;
   big.txn = 1;
-  big.op = txn::make_update(
+  big.op_indices = {0};
+  big.ops = {txn::make_update(
       "d", xupdate::make_insert("/a", "<x>" + std::string(5000, 'y') + "</x>")
-               .value());
+               .value())};
   network.send(Message{0, 1, big});
   network.send(make_message(0, 1, 2));
   auto first = inbox.pop(500ms);
@@ -373,20 +374,29 @@ TEST(MessageTest, PayloadNames) {
 
 TEST(MessageTest, WireSizeGrowsWithPayload) {
   ExecuteOperation small;
-  small.op = txn::parse_operation("query d /a").value();
+  small.op_indices = {0};
+  small.ops = {txn::parse_operation("query d /a").value()};
   ExecuteOperation large;
-  large.op = txn::make_update(
+  large.op_indices = {0};
+  large.ops = {txn::make_update(
       "d",
       xupdate::make_insert("/a", "<x>" + std::string(1000, 'q') + "</x>")
-          .value());
+          .value())};
   EXPECT_GT(payload_wire_size(Payload{large}),
             payload_wire_size(Payload{small}));
   // Longer paths cost more than shorter ones.
   ExecuteOperation deep;
-  deep.op =
-      txn::parse_operation("query d /a/b/c[@id='42']/d//e/text()").value();
+  deep.op_indices = {0};
+  deep.ops = {
+      txn::parse_operation("query d /a/b/c[@id='42']/d//e/text()").value()};
   EXPECT_GT(payload_wire_size(Payload{deep}),
             payload_wire_size(Payload{small}));
+  // A two-op slice costs more than either op alone.
+  ExecuteOperation both = small;
+  both.op_indices.push_back(1);
+  both.ops.push_back(deep.ops[0]);
+  EXPECT_GT(payload_wire_size(Payload{both}),
+            payload_wire_size(Payload{deep}));
 }
 
 // The wire payload is the typed operation itself: what the coordinator
@@ -401,10 +411,10 @@ TEST(MessageTest, TypedExecuteOperationRoundTripsThroughNetwork) {
       "update d1 insert into /site/people ::= <person id=\"p9\"/>";
   ExecuteOperation request;
   request.txn = 42;
-  request.op_index = 3;
   request.attempt = 2;
   request.coordinator = 0;
-  request.op = txn::parse_operation(kText).value();
+  request.op_indices = {3};
+  request.ops = {txn::parse_operation(kText).value()};
   network.send(Message{0, 1, request});
 
   auto message = inbox.pop(std::chrono::milliseconds(100));
@@ -412,15 +422,70 @@ TEST(MessageTest, TypedExecuteOperationRoundTripsThroughNetwork) {
   ASSERT_TRUE(std::holds_alternative<ExecuteOperation>(message->payload));
   const auto& received = std::get<ExecuteOperation>(message->payload);
   EXPECT_EQ(received.txn, 42u);
-  EXPECT_EQ(received.op_index, 3u);
+  EXPECT_EQ(received.op_indices, (std::vector<std::uint32_t>{3}));
   EXPECT_EQ(received.attempt, 2u);
-  EXPECT_EQ(received.op.doc, "d1");
-  EXPECT_TRUE(received.op.is_update());
-  EXPECT_EQ(received.op.update.kind, xupdate::UpdateKind::kInsert);
-  EXPECT_EQ(received.op.to_string(), kText);
+  ASSERT_EQ(received.ops.size(), 1u);
+  EXPECT_EQ(received.ops[0].doc, "d1");
+  EXPECT_TRUE(received.ops[0].is_update());
+  EXPECT_EQ(received.ops[0].update.kind, xupdate::UpdateKind::kInsert);
+  EXPECT_EQ(received.ops[0].to_string(), kText);
 }
 
 // --- binary codec ------------------------------------------------------------
+
+/// A three-op slice: an update, a query and a second update of another
+/// document, at non-contiguous transaction positions.
+ExecuteOperation multi_op_slice() {
+  ExecuteOperation exec;
+  exec.txn = 0xffff'ffff'ffff'fffeull;
+  exec.attempt = 9;
+  exec.coordinator = 2;
+  exec.epoch = 0xdead'beefull;
+  exec.op_indices = {1, 3, 4};
+  exec.ops = {
+      txn::parse_operation(
+          "update d1 insert into /site/people ::= <person id=\"p9\"/>")
+          .value(),
+      txn::parse_operation("query d1 /site/people/person/@id").value(),
+      txn::parse_operation("update d2 remove /site/a").value()};
+  return exec;
+}
+
+/// The reply to a slice that executed two ops and failed on the third.
+OperationResult multi_op_result() {
+  OperationResult result;
+  result.txn = 42;
+  result.attempt = 9;
+  result.op_indices = {1, 3};
+  result.rows = {{}, {"", "two", std::string(300, 'x')}};
+  result.failed = true;
+  result.reason = txn::AbortReason::kUnprocessableUpdate;
+  result.error = "boom";
+  return result;
+}
+
+/// Recomputes a frame's FNV-1a 64 body checksum after a test edited the
+/// body in place, so only the edit is at fault.
+std::string reseal(std::string frame) {
+  std::uint64_t hash = 1469598103934665603ull;
+  for (std::size_t i = 16; i < frame.size(); ++i) {  // header is 16 bytes
+    hash ^= static_cast<unsigned char>(frame[i]);
+    hash *= 1099511628211ull;
+  }
+  for (int i = 0; i < 8; ++i) {
+    frame[8 + i] = static_cast<char>((hash >> (8 * i)) & 0xff);
+  }
+  return frame;
+}
+
+/// Overwrites the little-endian u32 at `offset` of a frame and reseals it.
+std::string with_u32(std::string frame, std::size_t offset,
+                     std::uint32_t value) {
+  for (int i = 0; i < 4; ++i) {
+    frame[offset + i] = static_cast<char>((value >> (8 * i)) & 0xff);
+  }
+  return reseal(std::move(frame));
+}
 
 // One exemplar per payload variant, with edge-case fields exercised:
 // empty strings and vectors, huge ids, doubles, multi-row results.
@@ -430,28 +495,11 @@ std::vector<Message> codec_corpus() {
     corpus.push_back(Message{7, 12, std::move(payload)});
   };
 
-  ExecuteOperation exec;
-  exec.txn = 0xffff'ffff'ffff'fffeull;
-  exec.op_index = 3;
-  exec.attempt = 9;
-  exec.coordinator = 2;
-  exec.epoch = 0xdead'beefull;
-  exec.op = txn::parse_operation(
-                "update d1 insert into /site/people ::= <person id=\"p9\"/>")
-                .value();
-  add(exec);
-
-  OperationResult result;
-  result.txn = 42;
-  result.op_index = 1;
-  result.executed = true;
-  result.rows = {"", "two", std::string(300, 'x')};
-  result.reason = txn::AbortReason::kUnprocessableUpdate;
-  result.error = "boom";
-  add(result);
+  add(multi_op_slice());
+  add(multi_op_result());
   add(OperationResult{});  // all defaults / empty vectors
 
-  add(UndoOperation{42, 7});
+  add(UndoOperation{42, 7, 3});
   add(CommitRequest{9000});
   add(CommitAck{9000, true});
   add(AbortRequest{1});
@@ -625,10 +673,71 @@ TEST(CodecTest, OperationsSurviveTheTextRoundTrip) {
   EXPECT_TRUE(got.ops[0].is_update());
 }
 
+TEST(CodecTest, ProtocolVersionIsThree) {
+  // v3: one-shot slices in ExecuteOperation / OperationResult.
+  EXPECT_EQ(codec::kProtocolVersion, 3u);
+}
+
+TEST(CodecTest, MultiOpSliceRoundTripsByteExactly) {
+  const ExecuteOperation exec = multi_op_slice();
+  const std::string frame = codec::encode(Message{0, 1, exec});
+  auto decoded = codec::decode(frame);
+  ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
+  EXPECT_EQ(codec::encode(decoded.value()), frame);
+  const auto& got = std::get<ExecuteOperation>(decoded.value().payload);
+  EXPECT_EQ(got.txn, exec.txn);
+  EXPECT_EQ(got.attempt, 9u);
+  EXPECT_EQ(got.coordinator, 2u);
+  EXPECT_EQ(got.epoch, exec.epoch);
+  EXPECT_EQ(got.op_indices, exec.op_indices);
+  ASSERT_EQ(got.ops.size(), 3u);
+  for (std::size_t i = 0; i < got.ops.size(); ++i) {
+    EXPECT_EQ(got.ops[i].to_string(), exec.ops[i].to_string());
+  }
+
+  const OperationResult result = multi_op_result();
+  const std::string reply_frame = codec::encode(Message{1, 0, result});
+  auto reply = codec::decode(reply_frame);
+  ASSERT_TRUE(reply.is_ok()) << reply.status().to_string();
+  EXPECT_EQ(codec::encode(reply.value()), reply_frame);
+  const auto& back = std::get<OperationResult>(reply.value().payload);
+  EXPECT_EQ(back.attempt, 9u);
+  EXPECT_EQ(back.op_indices, result.op_indices);
+  EXPECT_EQ(back.rows, result.rows);
+  EXPECT_FALSE(back.lock_conflict);
+  EXPECT_TRUE(back.failed);
+  EXPECT_EQ(back.reason, txn::AbortReason::kUnprocessableUpdate);
+  EXPECT_EQ(back.error, "boom");
+}
+
+TEST(CodecTest, SliceItemCountPastTheFrameRejects) {
+  // Body: from(4) to(4) tag(1) txn(8) attempt(4) coordinator(4) epoch(8),
+  // then the op_indices count — after the 16-byte header.
+  constexpr std::size_t kIndexCount = 16 + 4 + 4 + 1 + 8 + 4 + 4 + 8;
+  const std::string frame =
+      codec::encode(Message{0, 1, multi_op_slice()});
+  ASSERT_TRUE(codec::decode(with_u32(frame, kIndexCount, 3)).is_ok());
+  EXPECT_FALSE(codec::decode(with_u32(frame, kIndexCount, 1000)).is_ok());
+  EXPECT_FALSE(
+      codec::decode(with_u32(frame, kIndexCount, 0xffff'ffffu)).is_ok());
+  // The op count follows the three indices; counts must also agree.
+  constexpr std::size_t kOpCount = kIndexCount + 4 + 3 * 4;
+  EXPECT_FALSE(codec::decode(with_u32(frame, kOpCount, 1000)).is_ok());
+  EXPECT_FALSE(codec::decode(with_u32(frame, kOpCount, 2)).is_ok());
+
+  // The reply's rows count: txn(8) attempt(4) indices(4 + 2 * 4).
+  constexpr std::size_t kRowCount = 16 + 4 + 4 + 1 + 8 + 4 + 4 + 2 * 4;
+  const std::string reply = codec::encode(Message{1, 0, multi_op_result()});
+  ASSERT_TRUE(codec::decode(with_u32(reply, kRowCount, 2)).is_ok());
+  EXPECT_FALSE(codec::decode(with_u32(reply, kRowCount, 1000)).is_ok());
+  EXPECT_FALSE(codec::decode(with_u32(reply, kRowCount, 1)).is_ok());
+}
+
 TEST(CodecTest, TruncationAtEveryLengthRejects) {
   OperationResult result;
   result.txn = 5;
-  result.rows = {"row1", "row2"};
+  result.op_indices = {0, 1};
+  result.rows = {{"row1"}, {"row2"}};
   result.error = "some error";
   const std::string frame = codec::encode(Message{1, 2, result});
   for (std::size_t cut = 0; cut < frame.size(); ++cut) {
@@ -663,16 +772,7 @@ TEST(CodecTest, UnknownTagRejects) {
   auto with_tag = [&frame](std::uint8_t tag) {
     std::string forged = frame;
     forged[16 + 8] = static_cast<char>(tag);  // header + from + to
-    // Recompute FNV-1a 64 of the body.
-    std::uint64_t hash = 1469598103934665603ull;
-    for (std::size_t i = 16; i < forged.size(); ++i) {
-      hash ^= static_cast<unsigned char>(forged[i]);
-      hash *= 1099511628211ull;
-    }
-    for (int i = 0; i < 8; ++i) {
-      forged[8 + i] = static_cast<char>((hash >> (8 * i)) & 0xff);
-    }
-    return forged;
+    return reseal(std::move(forged));
   };
   EXPECT_FALSE(codec::decode(with_tag(0)).is_ok());
   EXPECT_FALSE(codec::decode(with_tag(29)).is_ok());

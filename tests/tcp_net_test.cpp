@@ -121,14 +121,17 @@ TEST(TcpNetworkTest, AllPayloadShapesSurviveTheWire) {
   ExecuteOperation exec;
   exec.txn = 7;
   exec.coordinator = 1;
-  exec.op = txn::parse_operation(
-                "update d1 insert into /site/people ::= <person id=\"p9\"/>")
-                .value();
+  exec.op_indices = {0, 2};
+  exec.ops = {
+      txn::parse_operation(
+          "update d1 insert into /site/people ::= <person id=\"p9\"/>")
+          .value(),
+      txn::parse_operation("query d1 /site/people/person/@id").value()};
   payloads.emplace_back(exec);
   OperationResult result;
   result.txn = 7;
-  result.executed = true;
-  result.rows = {"a", "", std::string(5000, 'z')};
+  result.op_indices = {0, 2};
+  result.rows = {{}, {"a", "", std::string(5000, 'z')}};
   payloads.emplace_back(result);
   WfgReply wfg;
   wfg.probe = 3;
