@@ -66,9 +66,8 @@ struct SiteOptions {
   /// Shards of the site lock table (1 = single-monitor behavior).
   std::size_t lock_shards = 1;
   /// Site plan cache: compiled operations shared across transactions and
-  /// participant workers. 0
-  /// disables caching — every execution compiles a private plan, the
-  /// parse-per-execute baseline of bench/abl_plan_cache.
+  /// participant workers. 0 disables caching — every execution compiles a
+  /// private plan, the parse-per-execute baseline of bench/abl_plan_cache.
   std::size_t plan_cache_capacity = 1024;
   /// Independently-locked LRU shards of the plan cache.
   std::size_t plan_cache_shards = 8;
