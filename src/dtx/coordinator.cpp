@@ -199,20 +199,25 @@ void Coordinator::execute_slices(const TransactionPtr& txn) {
   // The first operation that did not execute everywhere decides the round,
   // as if it had been sent alone. Each of its replicas either executed it
   // or stopped its slice at it (everything before it executed everywhere).
+  // A target that never answered aborts the round whatever that operation
+  // is: what the silent site ran is unknown, and it is not one of the
+  // transaction's sites, so neither an undo nor a later abort fan-out is
+  // sure to reach it — its orphan sweep rolls it back, as for a lost reply
+  // to a single operation.
   txn::OperationState& state = txn->state_of(stop);
   const std::vector<SiteId>& stop_sites =
       view->sites_of(txn->ops()[stop].doc);
+  const auto silent =
+      std::find_if(targets.begin(), targets.end(),
+                   [&](SiteId site) { return replies.count(site) == 0; });
+  const bool timed_out = silent != targets.end();
   bool any_failed = false;
   bool any_deadlock = false;
-  bool timed_out = false;
   txn::AbortReason participant_reason = txn::AbortReason::kNone;
   std::string participant_error;
   for (SiteId site : stop_sites) {
     const auto it = replies.find(site);
-    if (it == replies.end()) {
-      timed_out = true;
-      continue;
-    }
+    if (it == replies.end()) continue;
     if (executed_at(site, stop)) continue;
     const net::OperationResult& reply = it->second;
     any_failed |= reply.failed;
@@ -230,38 +235,35 @@ void Coordinator::execute_slices(const TransactionPtr& txn) {
     // answered, so it cleans up wherever anything executed.
     state.failed = any_failed;
     state.deadlock = any_deadlock;
-    if (timed_out) {
+    if (participant_reason != txn::AbortReason::kNone) {
+      state.reason = participant_reason;
+      state.error = std::move(participant_error);
+    } else if (timed_out) {
       state.reason = txn::AbortReason::kSiteFailure;
-      state.error = "participant response timeout";
+      state.error =
+          "participant response timeout (site " + std::to_string(*silent) + ")";
     } else if (any_failed) {
-      state.reason = participant_reason != txn::AbortReason::kNone
-                         ? participant_reason
-                         : txn::AbortReason::kSiteFailure;
-      state.error = participant_error.empty()
-                        ? "operation failed at a participant site"
-                        : std::move(participant_error);
+      state.reason = txn::AbortReason::kSiteFailure;
+      state.error = "operation failed at a participant site";
     }
     if (any_failed) txn->set_abort_reason(state.reason);
     abort_transaction(txn, any_deadlock);
     return;
   }
-  // Otherwise a lock conflict. Alg. 1 l. 15-17: undo the operation and
-  // everything after it wherever it ran; wait. A site that stopped exactly
-  // at it keeps its wait-for edges (the transaction is blocked there);
-  // every other site whose slice reached past it undoes and drops its
-  // edges, which describe waits the transaction is not blocked on.
-  for (SiteId site : targets) {
-    const auto it = replies.find(site);
-    if (it != replies.end()) {
-      const net::OperationResult& reply = it->second;
-      const bool ran_past =
-          !reply.op_indices.empty() && reply.op_indices.back() >= stop;
-      const bool stopped_later =
-          (reply.lock_conflict || reply.failed || reply.deadlock) &&
-          std::find(stop_sites.begin(), stop_sites.end(), site) ==
-              stop_sites.end();
-      if (!ran_past && !stopped_later) continue;
-    }
+  // Otherwise a lock conflict, and every target answered. Alg. 1 l. 15-17:
+  // undo the operation and everything after it wherever it ran; wait. A
+  // site that stopped exactly at it keeps its wait-for edges (the
+  // transaction is blocked there); every other site whose slice reached
+  // past it undoes and drops its edges, which describe waits the
+  // transaction is not blocked on.
+  for (const auto& [site, reply] : replies) {
+    const bool ran_past =
+        !reply.op_indices.empty() && reply.op_indices.back() >= stop;
+    const bool stopped_later =
+        (reply.lock_conflict || reply.failed || reply.deadlock) &&
+        std::find(stop_sites.begin(), stop_sites.end(), site) ==
+            stop_sites.end();
+    if (!ran_past && !stopped_later) continue;
     ctx_.send(site, net::UndoOperation{
                         txn->id(), static_cast<std::uint32_t>(stop), attempt});
   }
@@ -671,6 +673,17 @@ void Coordinator::finish_transaction(const TransactionPtr& txn,
     // contact ask for exactly this record (first write wins, so a commit
     // decision recorded in commit_transaction is never downgraded).
     ctx_.record_outcome(txn->id(), state == TxnState::kCommitted);
+  }
+  {
+    // This site's own slices were served by its participant, which tracks
+    // them like a remote transaction's. The local commit or abort above
+    // already ended them, and no Commit/AbortRequest comes to the own site
+    // to drop the record — drop it here, or the orphan sweep would probe
+    // this site about it and the catalog drain would wait for it. A late
+    // copy of an own slice finds no record and no awaiting round, and is
+    // dropped (Participant::coordinator_awaits).
+    sync::MutexLock lock(ctx_.part_mutex);
+    ctx_.remote_txns.erase(txn->id());
   }
   {
     sync::MutexLock lock(ctx_.stats_mutex);

@@ -143,21 +143,33 @@ void Participant::handle_execute(const net::ExecuteOperation& request) {
     return;
   }
   {
-    // Track the transaction for the presumed-abort orphan sweep, and
-    // answer duplicated deliveries (FaultPlan duplication) from the reply
+    // Answer duplicated deliveries (FaultPlan duplication) from the reply
     // cache: re-running an already-executed update would apply its effects
     // twice. Only a *newer* attempt (a wait-mode resend) reaches the lock
     // manager again.
+    sync::MutexLock lock(ctx_.part_mutex);
+    const auto it = ctx_.remote_txns.find(request.txn);
+    if (it != ctx_.remote_txns.end() &&
+        it->second.last_reply.attempt >= request.attempt) {
+      it->second.last_seen = SiteContext::Clock::now();
+      it->second.unanswered_probes = 0;
+      ctx_.send(request.coordinator, it->second.last_reply);
+      return;
+    }
+  }
+  // A slice of this site's own transaction that the coordinator no longer
+  // awaits — a late copy of a transaction that already ended (its record
+  // is gone with it) or a round it timed out on — must not run: nothing
+  // would ever end what it leaves here.
+  if (!coordinator_awaits(request)) return;
+  {
+    // Track the transaction for the presumed-abort orphan sweep.
     sync::MutexLock lock(ctx_.part_mutex);
     SiteContext::RemoteTxn& record = ctx_.remote_txns[request.txn];
     record.coordinator = request.coordinator;
     record.epoch = request.epoch;
     record.last_seen = SiteContext::Clock::now();
     record.unanswered_probes = 0;
-    if (record.last_reply.attempt >= request.attempt) {
-      ctx_.send(request.coordinator, record.last_reply);
-      return;
-    }
   }
   // A newer attempt supersedes whatever earlier ones left here from its
   // first operation on. The coordinator does send UndoOperation before
@@ -201,6 +213,16 @@ void Participant::handle_execute(const net::ExecuteOperation& request) {
     ctx_.stats.remote_ops_processed +=
         std::min(processed + 1, request.ops.size());
   }
+  if (!coordinator_awaits(request)) {
+    // This site's coordinator timed out on the round while the slice ran
+    // and aborts the transaction itself; its local abort may have run
+    // before these operations did. Roll them back here too.
+    std::vector<WakeNotice> wakes;
+    ctx_.locks().abort(request.txn, wakes);
+    ctx_.send_wakes(wakes);
+    forget_remote_txn(request.txn);
+    return;
+  }
   {
     sync::MutexLock lock(ctx_.part_mutex);
     const auto it = ctx_.remote_txns.find(request.txn);
@@ -210,6 +232,13 @@ void Participant::handle_execute(const net::ExecuteOperation& request) {
     }
   }
   ctx_.send(request.coordinator, std::move(reply));
+}
+
+bool Participant::coordinator_awaits(const net::ExecuteOperation& request) {
+  if (request.coordinator != ctx_.options.id) return true;
+  sync::MutexLock lock(ctx_.resp_mutex);
+  const auto it = ctx_.responses.find(request.txn);
+  return it != ctx_.responses.end() && it->second.attempt == request.attempt;
 }
 
 void Participant::handle_undo(const net::UndoOperation& request) {

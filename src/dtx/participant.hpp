@@ -31,7 +31,9 @@ class Participant {
  private:
   /// Runs one slice. A newer attempt first undoes, newest first, every
   /// operation from the slice's first one on that an earlier attempt left
-  /// here; a duplicated delivery is answered from the reply cache.
+  /// here; a duplicated delivery is answered from the reply cache. A slice
+  /// of this site's own transaction runs only while the coordinator awaits
+  /// its round.
   void handle_execute(const net::ExecuteOperation& request);
   /// MVCC serving path: evaluates a read-only transaction's queries
   /// against this site's versioned snapshots. Stateless single round — no
@@ -54,6 +56,10 @@ class Participant {
   /// already-member path). No-op when the epochs agree.
   void gossip_catalog(SiteId peer, std::uint64_t peer_epoch);
 
+  /// False for a slice of a transaction this site coordinates whose round
+  /// the coordinator no longer awaits (it ended or timed out); true for
+  /// every other slice.
+  bool coordinator_awaits(const net::ExecuteOperation& request);
   /// Refreshes the orphan-sweep clock of a tracked remote transaction.
   void touch_remote_txn(lock::TxnId txn);
   /// Drops the tracking record (transaction terminated at this site).

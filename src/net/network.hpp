@@ -18,6 +18,7 @@
 // is the filter.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <optional>
@@ -40,6 +41,8 @@ struct NetworkStats {
   std::uint64_t messages_sent = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t messages_dropped = 0;
+  /// messages_sent split by payload kind, indexed by Payload::index().
+  std::array<std::uint64_t, std::variant_size_v<Payload>> sent_by_kind{};
 };
 
 /// Per-endpoint delivery queue. The receiving site's dispatcher blocks on

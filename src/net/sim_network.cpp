@@ -45,6 +45,7 @@ void SimNetwork::send(Message message) {
 
     const std::size_t bytes = payload_wire_size(message.payload);
     ++stats_.messages_sent;
+    ++stats_.sent_by_kind[message.payload.index()];
     stats_.bytes_sent += bytes;
 
     auto transmit = std::chrono::microseconds(0);

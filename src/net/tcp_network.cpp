@@ -197,6 +197,7 @@ void TcpNetwork::send(Message message) {
     if (local != mailboxes_.end()) {
       const std::size_t bytes = codec::encoded_payload_size(message.payload);
       ++stats_.messages_sent;
+      ++stats_.sent_by_kind[message.payload.index()];
       stats_.bytes_sent += bytes;
       local->second->push(std::move(message), Mailbox::Clock::now());
       return;
@@ -218,6 +219,7 @@ void TcpNetwork::send(Message message) {
     const std::size_t before = conn.out.size();
     codec::encode(message, conn.out);
     ++stats_.messages_sent;
+    ++stats_.sent_by_kind[message.payload.index()];
     stats_.bytes_sent += conn.out.size() - before;
     need_wake = true;
   }

@@ -197,7 +197,7 @@ TEST(OrphanTest, ParticipantRollsBackWhenCoordinatorReportsAbort) {
   });
   EXPECT_TRUE(drained(cluster.site(1), 2000ms));
   EXPECT_EQ(stored_phone(cluster, 1, "p1"), "111");
-  EXPECT_GE(cluster.stats().orphans_aborted, 1u);
+  EXPECT_GE(cluster.site(1).stats().orphans_aborted, 1u);
   EXPECT_EQ(total_unclassified(cluster), 0u);
 }
 
@@ -227,7 +227,7 @@ TEST(OrphanTest, ParticipantConsolidatesWhenCommitDecisionRecorded) {
   });
   EXPECT_TRUE(drained(cluster.site(1), 2000ms));
   EXPECT_EQ(stored_phone(cluster, 1, "p1"), "88");
-  EXPECT_GE(cluster.stats().orphans_committed, 1u);
+  EXPECT_GE(cluster.site(1).stats().orphans_committed, 1u);
 }
 
 TEST(OrphanTest, CommitDecisionSurvivesCoordinatorCrash) {
@@ -257,7 +257,89 @@ TEST(OrphanTest, CommitDecisionSurvivesCoordinatorCrash) {
   EXPECT_TRUE(drained(cluster.site(1), 3000ms));
   EXPECT_EQ(stored_phone(cluster, 1, "p1"), "99");
   EXPECT_EQ(stored_phone(cluster, 0, "p1"), "99");
-  EXPECT_GE(cluster.stats().orphans_committed, 1u);
+  EXPECT_GE(cluster.site(1).stats().orphans_committed, 1u);
+}
+
+TEST(OrphanTest, CoordinatorKeepsNoParticipantRecordOfItsOwnTransactions) {
+  // The coordinator's own slices run through its participant, which tracks
+  // them like any remote transaction's. No Commit/AbortRequest ever comes
+  // to the own site — the coordinator commits and aborts there itself — so
+  // it must drop that record when the transaction ends. A record left
+  // behind is swept as an orphan (the site probes itself) and holds back
+  // the catalog drain of the next membership change.
+  ClusterOptions options = fast_options(2);
+  options.site.orphan_txn_timeout = std::chrono::microseconds(20'000);
+  Cluster cluster(options);
+  ASSERT_TRUE(cluster.load_document("d1", kPeopleXml, {0, 1}).is_ok());
+  ASSERT_TRUE(cluster.start().is_ok());
+  auto status_probes = std::make_shared<std::atomic<int>>(0);
+  cluster.network().faults([status_probes](net::FaultPlan& plan) {
+    plan.set_message_filter([status_probes](const net::Message& message) {
+      if (std::holds_alternative<net::TxnStatusRequest>(message.payload)) {
+        ++*status_probes;
+      }
+      return false;
+    });
+  });
+
+  auto committed = cluster.execute_text(
+      0, {"update d1 change /site/people/person[@id='p1']/phone ::= 5"});
+  ASSERT_TRUE(committed.is_ok());
+  EXPECT_EQ(committed.value().state, TxnState::kCommitted);
+  auto aborted = cluster.execute_text(
+      0, {"update d1 insert into /site/people ::= <person id=\"x\"/>",
+          "update d1 insert after /site ::= <x/>"});
+  ASSERT_TRUE(aborted.is_ok());
+  EXPECT_EQ(aborted.value().state, TxnState::kAborted);
+
+  // Ten orphan timeouts later nothing was swept anywhere.
+  std::this_thread::sleep_for(200ms);
+  EXPECT_EQ(status_probes->load(), 0);
+  for (net::SiteId site : {0u, 1u}) {
+    EXPECT_EQ(cluster.site(site).stats().orphans_committed, 0u);
+    EXPECT_EQ(cluster.site(site).stats().orphans_aborted, 0u);
+    EXPECT_TRUE(drained(cluster.site(site), 0ms));
+  }
+}
+
+TEST(OrphanTest, OwnTransactionsDoNotHoldBackTheCatalogDrain) {
+  // The same record would make the coordinator's site report an
+  // older-epoch transaction in progress until its orphan sweep (disabled
+  // here by a long timeout): as a leaver it would never ship its replicas
+  // away, so its decommission would never complete.
+  ClusterOptions options = fast_options(3);
+  options.site.orphan_txn_timeout = std::chrono::hours(1);
+  options.site.placement_policy = placement::PlacementPolicy::kHashRing;
+  options.site.replication = 2;
+  Cluster cluster(options);
+  std::string hosted;
+  for (std::size_t index = 0; index < 6; ++index) {
+    const std::string doc = "d" + std::to_string(index);
+    const std::vector<net::SiteId> hosts = placement::assign_sites(
+        placement::PlacementPolicy::kHashRing, index, doc, {0, 1, 2}, 2);
+    ASSERT_TRUE(cluster.load_document(doc, kPeopleXml, hosts).is_ok());
+    if (hosted.empty() &&
+        std::find(hosts.begin(), hosts.end(), 2u) != hosts.end()) {
+      hosted = doc;
+    }
+  }
+  ASSERT_FALSE(hosted.empty());
+  ASSERT_TRUE(cluster.start().is_ok());
+
+  auto committed = cluster.execute_text(
+      2, {"update " + hosted +
+          " change /site/people/person[@id='p1']/phone ::= 5"});
+  ASSERT_TRUE(committed.is_ok());
+  EXPECT_EQ(committed.value().state, TxnState::kCommitted);
+  auto aborted =
+      cluster.execute_text(2, {"update " + hosted + " insert after /site ::= <x/>"});
+  ASSERT_TRUE(aborted.is_ok());
+  EXPECT_EQ(aborted.value().state, TxnState::kAborted);
+
+  const auto begin = std::chrono::steady_clock::now();
+  ASSERT_TRUE(cluster.remove_site(2).is_ok());
+  EXPECT_LT(std::chrono::steady_clock::now() - begin, 5s);
+  EXPECT_EQ(cluster.stats().orphans_aborted, 0u);
 }
 
 // --- at-least-once delivery --------------------------------------------------
@@ -488,6 +570,58 @@ TEST(SliceTest, DroppedSliceReplyAbortsWithSiteFailure) {
     EXPECT_TRUE(drained(cluster.site(site), 2000ms));
     EXPECT_EQ(stored_phone(cluster, site, "p1"), "111");
   }
+}
+
+TEST(SliceTest, SilentSiteOfALaterOperationAbortsARoundThatConflicted) {
+  // T (from site 2) = [change d1's p1, insert into d2]; d1 lives at sites 0
+  // and 2, d2 at site 1 only. U, from site 0, holds p1 at site 0 (its slice
+  // for site 2 is lost, so it runs into its response timeout), so T's round
+  // stops on a conflict at op 0. Site 1 ran op 1, but its reply is lost.
+  // The round must abort with kSiteFailure, not wait: site 1 never answered,
+  // so it is not one of T's sites and no undo or abort of T is sure to
+  // reach it.
+  Cluster cluster(fast_options(3));
+  ASSERT_TRUE(cluster.load_document("d1", kPeopleXml, {0, 2}).is_ok());
+  ASSERT_TRUE(cluster.load_document("d2", kPeopleXml, {1}).is_ok());
+  ASSERT_TRUE(cluster.start().is_ok());
+  cluster.network().faults([](net::FaultPlan& plan) {
+    plan.set_message_filter([](const net::Message& message) {
+      return (message.from == 0 && message.to == 2 &&
+              std::holds_alternative<net::ExecuteOperation>(
+                  message.payload)) ||
+             (message.from == 1 && message.to == 2 &&
+              std::holds_alternative<net::OperationResult>(message.payload));
+    });
+  });
+
+  auto u = cluster.submit_text(
+      0, {"update d1 change /site/people/person[@id='p1']/phone ::= u"});
+  ASSERT_TRUE(u.is_ok());
+  const auto locked_by = std::chrono::steady_clock::now() + 1s;
+  while (cluster.site(0).lock_manager().lock_entries() == 0 &&
+         std::chrono::steady_clock::now() < locked_by) {
+    std::this_thread::sleep_for(1ms);
+  }
+  auto t = cluster.submit_text(
+      2, {"update d1 change /site/people/person[@id='p1']/phone ::= t",
+          "update d2 insert into /site/people ::= <person id=\"t1\"/>"});
+  ASSERT_TRUE(t.is_ok());
+
+  const txn::TxnResult result = t.value()->await();
+  EXPECT_EQ(result.state, TxnState::kAborted);
+  EXPECT_EQ(result.reason, AbortReason::kSiteFailure);
+  EXPECT_EQ(result.wait_episodes, 0u);
+  EXPECT_NE(u.value()->await().state, TxnState::kCommitted);
+
+  // Site 1's orphan sweep rolls back the insert it ran.
+  cluster.network().faults([](net::FaultPlan& plan) {
+    plan.set_message_filter(nullptr);
+  });
+  for (net::SiteId site : {0u, 1u, 2u}) {
+    EXPECT_TRUE(drained(cluster.site(site), 2000ms));
+  }
+  const auto ids = stored_values(cluster, 1, "d2", "/site/people/person/@id");
+  EXPECT_EQ(std::count(ids.begin(), ids.end(), "t1"), 0);
 }
 
 // --- recovery sync -----------------------------------------------------------

@@ -292,19 +292,24 @@ TEST(ClusterTest, ConflictingTransactionsSerializeViaWait) {
 
 TEST(ClusterTest, DistributedDeadlockResolvedByVictimAbort) {
   // The §2.4 shape: two transactions at two sites acquire locks on the two
-  // documents in opposite orders. Each document lives at one site and the
-  // link between the sites is slower than local delivery, so each
-  // transaction's first (local) operation locks before the other's second
-  // (remote) one arrives — a distributed deadlock in every round, since
-  // both slices of a transaction leave at once. Every transaction must
-  // terminate either way.
-  Cluster cluster(fast_options(2));
-  ASSERT_TRUE(cluster.load_document("d1", kPeopleXml, {0}).is_ok());
-  ASSERT_TRUE(cluster.load_document("d2", kProductsXml, {1}).is_ok());
+  // documents in opposite orders. Each document has two replicas and no
+  // site hosts both, so neither transaction's slices meet the other's at
+  // one site. Links out of the coordinators are slower than the rest, so
+  // each transaction's first operation (a query) locks at both replicas
+  // before the other's second (an update) arrives there: both keep their
+  // first operation and wait on the other — a distributed deadlock in
+  // every round. Every transaction must terminate either way.
+  Cluster cluster(fast_options(4));
+  ASSERT_TRUE(cluster.load_document("d1", kPeopleXml, {0, 2}).is_ok());
+  ASSERT_TRUE(cluster.load_document("d2", kProductsXml, {1, 3}).is_ok());
   ASSERT_TRUE(cluster.start().is_ok());
   cluster.network().faults([](net::FaultPlan& plan) {
-    plan.set_link_fault(0, 1, {.extra_delay = std::chrono::milliseconds(5)});
-    plan.set_link_fault(1, 0, {.extra_delay = std::chrono::milliseconds(5)});
+    for (net::SiteId to : {1, 3}) {
+      plan.set_link_fault(0, to, {.extra_delay = std::chrono::milliseconds(5)});
+    }
+    for (net::SiteId to : {0, 2}) {
+      plan.set_link_fault(1, to, {.extra_delay = std::chrono::milliseconds(5)});
+    }
   });
 
   std::uint64_t deadlocks = 0;
@@ -325,6 +330,42 @@ TEST(ClusterTest, DistributedDeadlockResolvedByVictimAbort) {
     deadlocks = cluster.stats().deadlock_aborts;
   }
   EXPECT_GT(deadlocks, 0u) << "no deadlock arose in 20 adversarial rounds";
+  cluster.stop();
+  expect_replicas_consistent(cluster);
+}
+
+TEST(ClusterTest, OppositeOrderOverSharedReplicasTerminates) {
+  // The same two transactions over documents replicated at both sites.
+  // One-shot execution cannot deadlock here: each site runs one
+  // transaction's whole slice before the other's, so the transaction that
+  // reaches a site second conflicts at its first operation. A transaction
+  // that conflicts anywhere is undone from that operation at every replica
+  // before it waits, so the waiter holds nothing the other needs — it
+  // resumes once the other commits or once it is undone in turn. Every
+  // round must end with at least one commit (no undo/wake livelock).
+  Cluster cluster(fast_options(2));
+  ASSERT_TRUE(cluster.load_document("d1", kPeopleXml, {0, 1}).is_ok());
+  ASSERT_TRUE(cluster.load_document("d2", kProductsXml, {0, 1}).is_ok());
+  ASSERT_TRUE(cluster.start().is_ok());
+
+  for (int round = 0; round < 20; ++round) {
+    auto t1 = cluster.submit_text(
+        0, {"query d1 /site/people/person/name",
+            "update d2 insert into /site/regions/europe ::= "
+            "<item id=\"a" + std::to_string(round) + "\"/>"});
+    auto t2 = cluster.submit_text(
+        1, {"query d2 /site/regions/europe/item/name",
+            "update d1 insert into /site/people ::= "
+            "<person id=\"b" + std::to_string(round) + "\"/>"});
+    ASSERT_TRUE(t1.is_ok() && t2.is_ok());
+    const auto r1 = t1.value()->await();
+    const auto r2 = t2.value()->await();
+    EXPECT_NE(r1.state, TxnState::kActive);
+    EXPECT_NE(r2.state, TxnState::kActive);
+    EXPECT_TRUE(r1.state == TxnState::kCommitted ||
+                r2.state == TxnState::kCommitted)
+        << "round " << round << " committed neither transaction";
+  }
   cluster.stop();
   expect_replicas_consistent(cluster);
 }
