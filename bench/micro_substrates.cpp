@@ -5,6 +5,7 @@
 
 #include "dataguide/dataguide.hpp"
 #include "dataguide/guide_match.hpp"
+#include "workload/fragmentation.hpp"
 #include "workload/xmark.hpp"
 #include "xml/parser.hpp"
 #include "xml/serializer.hpp"
@@ -68,6 +69,64 @@ void BM_XPathDescendantScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_XPathDescendantScan);
+
+// The shapes the workload generator sends to one fragment: dtxbench's
+// read-snapshot base is 4 MB cut into fragments, and each query runs on one
+// fragment's tree, not on the whole document.
+struct PeopleFragment {
+  std::unique_ptr<xml::Document> document;
+  std::string id;  // a person in the middle of the fragment
+};
+
+const PeopleFragment& people_fragment() {
+  static const PeopleFragment fragment = [] {
+    for (const workload::Fragment& candidate :
+         workload::fragment_xmark(xmark_of(4'000'000), 8)) {
+      if (candidate.section != "people") continue;
+      auto parsed = xml::parse(candidate.xml, candidate.doc_name);
+      return PeopleFragment{std::move(parsed).value(),
+                            candidate.ids[candidate.ids.size() / 2]};
+    }
+    return PeopleFragment{};
+  }();
+  return fragment;
+}
+
+void run_on_people_fragment(benchmark::State& state, const std::string& expr,
+                            bool strings) {
+  const PeopleFragment& fragment = people_fragment();
+  auto path = xpath::parse(expr);
+  for (auto _ : state) {
+    if (strings) {
+      auto rows = xpath::evaluate_strings(path.value(), *fragment.document);
+      benchmark::DoNotOptimize(rows);
+    } else {
+      auto nodes = xpath::evaluate(path.value(), *fragment.document);
+      benchmark::DoNotOptimize(nodes);
+    }
+  }
+  state.counters["doc_nodes"] =
+      static_cast<double>(fragment.document->node_count());
+}
+
+void BM_XPathFragmentPointQuery(benchmark::State& state) {
+  run_on_people_fragment(
+      state, "/site/people/person[@id='" + people_fragment().id + "']/name",
+      false);
+}
+BENCHMARK(BM_XPathFragmentPointQuery);
+
+void BM_XPathFragmentDescendantPointQuery(benchmark::State& state) {
+  run_on_people_fragment(
+      state, "//person[@id='" + people_fragment().id + "']/emailaddress",
+      false);
+}
+BENCHMARK(BM_XPathFragmentDescendantPointQuery);
+
+void BM_XPathFragmentScanStrings(benchmark::State& state) {
+  run_on_people_fragment(state, "/site/people/person/name", true);
+}
+BENCHMARK(BM_XPathFragmentScanStrings);
 
 void BM_XPathParse(benchmark::State& state) {
   for (auto _ : state) {

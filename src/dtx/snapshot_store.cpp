@@ -126,14 +126,20 @@ void SnapshotStore::on_checkpoint(const std::string& doc,
   }
 }
 
+SnapshotStore::TreePtr SnapshotStore::pin(const std::shared_ptr<Tree>& tree) {
+  tree->pins.fetch_add(1, std::memory_order_relaxed);
+  return TreePtr(tree->document.get(), [tree](const xml::Document*) {
+    tree->pins.fetch_sub(1, std::memory_order_release);
+  });
+}
+
 SnapshotStore::TreePtr SnapshotStore::insert_tree(
-    DocState& state, std::uint64_t version,
-    std::shared_ptr<xml::Document> tree) {
+    DocState& state, std::uint64_t version, std::shared_ptr<Tree> tree) {
   state.trees[version] = tree;
   while (state.trees.size() > kTreeCacheDepth) {
     state.trees.erase(state.trees.begin());
   }
-  return TreePtr(std::move(tree));
+  return pin(tree);
 }
 
 Result<SnapshotStore::TreePtr> SnapshotStore::resolve(const std::string& doc,
@@ -143,7 +149,7 @@ Result<SnapshotStore::TreePtr> SnapshotStore::resolve(const std::string& doc,
   const auto exact = state.trees.find(version);
   if (exact != state.trees.end()) {
     chain_hits_.fetch_add(1, std::memory_order_relaxed);
-    return TreePtr(exact->second);
+    return pin(exact->second);
   }
 
   // Nearest older cached tree. If its delta chain up to `version` is
@@ -161,16 +167,17 @@ Result<SnapshotStore::TreePtr> SnapshotStore::resolve(const std::string& doc,
     }
     if (complete) {
       const std::uint64_t base_version = below->first;
-      std::shared_ptr<xml::Document> tree;
-      if (below->second.use_count() == 1) {
-        // The cache is the sole owner: no handed-out cut can reach this
-        // tree (handouts only happen under this mutex), so it advances in
-        // place instead of being copied.
+      std::shared_ptr<Tree> tree;
+      if (below->second->pins.load(std::memory_order_acquire) == 0) {
+        // No handout pins this tree, and none can appear (pins rise only
+        // under this mutex). The acquire load pairs with every dropped
+        // pin's release, so the readers' last accesses happen-before the
+        // rewrite: advance in place instead of copying.
         tree = std::move(below->second);
         state.trees.erase(below);
       } else {
         clones_.fetch_add(1, std::memory_order_relaxed);
-        tree = below->second->clone(doc);
+        tree = std::make_shared<Tree>(below->second->document->clone(doc));
       }
       std::vector<wal::LogEntry> records;
       records.reserve(static_cast<std::size_t>(version - base_version));
@@ -180,7 +187,8 @@ Result<SnapshotStore::TreePtr> SnapshotStore::resolve(const std::string& doc,
         entry.ops = state.deltas[v].ops;
         records.push_back(std::move(entry));
       }
-      const Status applied = wal::apply_records(records, *tree, nullptr, doc);
+      const Status applied =
+          wal::apply_records(records, *tree->document, nullptr, doc);
       if (!applied) return applied;
       chain_hits_.fetch_add(1, std::memory_order_relaxed);
       return insert_tree(state, version, std::move(tree));
@@ -195,8 +203,7 @@ Result<SnapshotStore::TreePtr> SnapshotStore::resolve(const std::string& doc,
   if (!rebuilt) return rebuilt.status();
   materializes_.fetch_add(1, std::memory_order_relaxed);
   return insert_tree(state, version,
-                     std::shared_ptr<xml::Document>(
-                         std::move(rebuilt).value()));
+                     std::make_shared<Tree>(std::move(rebuilt).value()));
 }
 
 Result<SnapshotStore::Cut> SnapshotStore::snapshot(

@@ -18,7 +18,11 @@
 //     shared_ptr<const Document>. The handout IS the pin: a reader's cut
 //     keeps its trees alive for the life of the transaction, so a
 //     long-running read-only transaction keeps a stable, never-torn view
-//     no matter how far the chain moves on or what pruning drops.
+//     no matter how far the chain moves on or what pruning drops. Each
+//     cached tree counts its live handouts explicitly; the last copy of a
+//     handout drops its pin with release, and a tree is advanced in place
+//     only after an acquire load finds no pin, so every reader's last
+//     access to it happens-before the rewrite.
 //
 // A consistent cut is captured in two phases. Under the store mutex the
 // target version of every requested document is recorded atomically; then,
@@ -141,6 +145,15 @@ class SnapshotStore {
     std::vector<std::string> ops;
     std::size_t bytes = 0;
   };
+  /// A materialized tree and the number of live handouts that pin it.
+  /// Pins rise only under the owning DocState's mutex (in pin()) and fall
+  /// with release when a handout's last copy dies.
+  struct Tree {
+    explicit Tree(std::unique_ptr<xml::Document> doc)
+        : document(std::move(doc)) {}
+    std::unique_ptr<xml::Document> document;
+    std::atomic<std::uint64_t> pins{0};
+  };
   struct DocState {
     /// Committed version — guarded by the store-wide mutex_ so a cut's
     /// capture phase sees every document at one instant. (Annotated at
@@ -148,9 +161,9 @@ class SnapshotStore {
     std::uint64_t committed = 0;
     /// Guards trees / deltas below. Taken after mutex_ (or alone).
     sync::Mutex mutex{sync::LockRank::kSnapshotDoc};
-    /// Materialized immutable trees by version. Mutable only while the
-    /// map is the sole owner; once handed out a tree is frozen.
-    std::map<std::uint64_t, std::shared_ptr<xml::Document>> trees
+    /// Materialized trees by version. A tree is mutable only while no
+    /// handout pins it; while pinned it is frozen.
+    std::map<std::uint64_t, std::shared_ptr<Tree>> trees
         DTX_GUARDED_BY(mutex);
     std::map<std::uint64_t, DeltaRec> deltas DTX_GUARDED_BY(mutex);
     std::size_t delta_bytes DTX_GUARDED_BY(mutex) = 0;
@@ -162,10 +175,12 @@ class SnapshotStore {
                                 std::uint64_t version)
       DTX_EXCLUDES(mutex_);
   /// Inserts a resolved tree into the cache, evicting the oldest versions
-  /// past the cache cap, and returns the handout pointer.
+  /// past the cache cap, and returns it pinned.
   TreePtr insert_tree(DocState& state, std::uint64_t version,
-                      std::shared_ptr<xml::Document> tree)
-      DTX_REQUIRES(state.mutex);
+                      std::shared_ptr<Tree> tree) DTX_REQUIRES(state.mutex);
+  /// Hands `tree` out with one more pin; the handout's last copy drops it.
+  /// Called under the owning DocState's mutex.
+  static TreePtr pin(const std::shared_ptr<Tree>& tree);
   /// Drops the oldest deltas until the depth / byte bounds hold. Both
   /// mutexes held.
   void prune_chain(DocState& state)

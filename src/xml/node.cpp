@@ -104,10 +104,17 @@ std::string Node::text() const {
 }
 
 std::string Node::deep_text() const {
-  if (is_text()) return value_;
   std::string out;
-  for (const auto& child : children_) out += child->deep_text();
+  append_deep_text(out);
   return out;
+}
+
+void Node::append_deep_text(std::string& out) const {
+  if (is_text()) {
+    out += value_;
+    return;
+  }
+  for (const auto& child : children_) child->append_deep_text(out);
 }
 
 std::string Node::label_path() const {

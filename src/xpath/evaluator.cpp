@@ -1,6 +1,7 @@
 #include "xpath/evaluator.hpp"
 
 #include <cstdlib>
+#include <deque>
 #include <unordered_set>
 
 namespace dtx::xpath {
@@ -16,119 +17,217 @@ bool parse_number(const std::string& text, double& out) {
   return end == text.c_str() + text.size();
 }
 
-/// Collects the candidates one step produces for a single context node,
-/// before predicate filtering, in document order.
-void collect_candidates(Node& context, const Step& step,
-                        std::vector<Node*>& out) {
+/// Whether `node` passes the node test of `step`. An attribute test is
+/// passed by the element that owns the attribute.
+bool node_test(const Node& node, const Step& step) {
   switch (step.test) {
-    case NodeTest::kAttribute:
-      if (context.is_element() && context.attribute(step.name) != nullptr) {
-        out.push_back(&context);
-      }
-      return;
-    case NodeTest::kText:
-      if (step.axis == Axis::kChild) {
-        for (const auto& child : context.children()) {
-          if (child->is_text()) out.push_back(child.get());
-        }
-      } else {
-        context.visit([&](const Node& node) {
-          if (&node != &context && node.is_text()) {
-            out.push_back(const_cast<Node*>(&node));
-          }
-          return true;
-        });
-      }
-      return;
     case NodeTest::kName:
-    case NodeTest::kWildcard: {
-      const auto matches = [&](const Node& node) {
-        return node.is_element() &&
-               (step.test == NodeTest::kWildcard || node.name() == step.name);
-      };
-      if (step.axis == Axis::kChild) {
-        for (const auto& child : context.children()) {
-          if (matches(*child)) out.push_back(child.get());
-        }
-      } else {
-        context.visit([&](const Node& node) {
-          if (&node != &context && matches(node)) {
-            out.push_back(const_cast<Node*>(&node));
-          }
-          return true;
-        });
-      }
-      return;
-    }
-  }
-}
-
-bool predicate_holds(Node& candidate, const Predicate& predicate);
-
-/// Applies the predicate list of a step to the per-context candidate list.
-/// Position predicates filter by the candidate's index in the current list,
-/// matching XPath's left-to-right predicate application.
-void apply_predicates(const Step& step, std::vector<Node*>& candidates) {
-  for (const auto& predicate : step.predicates) {
-    if (predicate.kind == PredicateKind::kPosition) {
-      if (predicate.position > candidates.size()) {
-        candidates.clear();
-      } else {
-        Node* kept = candidates[predicate.position - 1];
-        candidates.assign(1, kept);
-      }
-      continue;
-    }
-    std::vector<Node*> kept;
-    kept.reserve(candidates.size());
-    for (Node* node : candidates) {
-      if (predicate_holds(*node, predicate)) kept.push_back(node);
-    }
-    candidates = std::move(kept);
-  }
-}
-
-std::vector<Node*> evaluate_steps(const std::vector<Step>& steps,
-                                  std::vector<Node*> contexts) {
-  for (const auto& step : steps) {
-    std::vector<Node*> next;
-    std::unordered_set<const Node*> seen;
-    for (Node* context : contexts) {
-      std::vector<Node*> candidates;
-      collect_candidates(*context, step, candidates);
-      apply_predicates(step, candidates);
-      for (Node* node : candidates) {
-        if (seen.insert(node).second) next.push_back(node);
-      }
-    }
-    contexts = std::move(next);
-    if (contexts.empty()) break;
-  }
-  return contexts;
-}
-
-bool predicate_holds(Node& candidate, const Predicate& predicate) {
-  const auto& steps = predicate.path.steps;
-  // Attribute-final predicate paths compare / test the attribute itself.
-  const bool attribute_final =
-      !steps.empty() && steps.back().test == NodeTest::kAttribute;
-
-  std::vector<Node*> selected = evaluate_steps(steps, {&candidate});
-  if (predicate.kind == PredicateKind::kExists) return !selected.empty();
-
-  for (Node* node : selected) {
-    std::string value;
-    if (attribute_final) {
-      const std::string* attr = node->attribute(steps.back().name);
-      if (attr == nullptr) continue;
-      value = *attr;
-    } else {
-      value = string_value(*node);
-    }
-    if (literal_equals(value, predicate.literal)) return true;
+      return node.is_element() && node.name() == step.name;
+    case NodeTest::kWildcard:
+      return node.is_element();
+    case NodeTest::kText:
+      return node.is_text();
+    case NodeTest::kAttribute:
+      return node.is_element() && node.attribute(step.name) != nullptr;
   }
   return false;
 }
+
+/// Appends `node` and its descendants that pass the node test, pre-order.
+void append_subtree(Node& node, const Step& step, std::vector<Node*>& out) {
+  if (node_test(node, step)) out.push_back(&node);
+  for (const auto& child : node.children()) append_subtree(*child, step, out);
+}
+
+/// Appends the candidates `step` produces from one context, in document
+/// order, before predicates. An attribute step selects the context itself
+/// whatever its axis.
+void append_candidates(Node& context, const Step& step,
+                       std::vector<Node*>& out) {
+  if (step.test == NodeTest::kAttribute) {
+    if (node_test(context, step)) out.push_back(&context);
+  } else if (step.axis == Axis::kChild) {
+    for (const auto& child : context.children()) {
+      if (node_test(*child, step)) out.push_back(child.get());
+    }
+  } else {
+    for (const auto& child : context.children()) {
+      append_subtree(*child, step, out);
+    }
+  }
+}
+
+/// Node buffers reused by every evaluation on one thread. Predicate paths
+/// borrow them in stack order; a deque keeps the buffers of outer levels in
+/// place while inner levels grow it. A buffer keeps the capacity of the
+/// largest selection it held, a few percent of the document's size.
+struct Scratch {
+  std::deque<std::vector<Node*>> buffers;
+  std::size_t used = 0;
+  std::string text;
+};
+
+/// One cleared scratch buffer, handed back when the borrow ends.
+class Borrowed {
+ public:
+  explicit Borrowed(Scratch& scratch) : scratch_(scratch) {
+    if (scratch.used == scratch.buffers.size()) scratch.buffers.emplace_back();
+    buffer_ = &scratch.buffers[scratch.used++];
+    buffer_->clear();
+  }
+  Borrowed(const Borrowed&) = delete;
+  Borrowed& operator=(const Borrowed&) = delete;
+  ~Borrowed() { --scratch_.used; }
+
+  std::vector<Node*>& operator*() const { return *buffer_; }
+  std::vector<Node*>* operator->() const { return buffer_; }
+
+ private:
+  Scratch& scratch_;
+  std::vector<Node*>* buffer_ = nullptr;
+};
+
+class Evaluator {
+ public:
+  Evaluator() : scratch_(instance()) {}
+
+  /// Selection of `path` from the virtual document node whose only child
+  /// is `root`: the child axis tests the root, the descendant axis the
+  /// root's whole subtree, an attribute test the root's attributes.
+  std::vector<Node*> absolute(const Path& path, Node& root) {
+    const Step& first = path.steps.front();
+    Borrowed nodes(scratch_);
+    if (first.axis == Axis::kChild || first.test == NodeTest::kAttribute) {
+      if (node_test(root, first)) nodes->push_back(&root);
+    } else {
+      append_subtree(root, first, *nodes);
+    }
+    filter(first, *nodes, 0);
+    run(path.steps.data() + 1, path.steps.data() + path.steps.size(),
+        *nodes);
+    return {nodes->begin(), nodes->end()};
+  }
+
+  /// Selection of `steps` from `context`.
+  std::vector<Node*> relative(const std::vector<Step>& steps,
+                              Node& context) {
+    Borrowed nodes(scratch_);
+    nodes->push_back(&context);
+    run(steps.data(), steps.data() + steps.size(), *nodes);
+    return {nodes->begin(), nodes->end()};
+  }
+
+ private:
+  static Scratch& instance() {
+    thread_local Scratch scratch;
+    return scratch;
+  }
+
+  /// Applies steps [first, last) to the contexts in `nodes` and leaves the
+  /// selection in their place. Each step appends every context's candidates
+  /// to one output buffer and filters them there, so position predicates
+  /// still count per context.
+  void run(const Step* first, const Step* last, std::vector<Node*>& nodes) {
+    if (first == last) return;
+    Borrowed out(scratch_);
+    for (; first != last && !nodes.empty(); ++first) {
+      out->clear();
+      apply(*first, nodes, *out);
+      nodes.swap(*out);
+    }
+  }
+
+  /// Keeps the candidates in out[mark, end) that pass the predicates of
+  /// `step`, applied left to right to that one context's list.
+  void filter(const Step& step, std::vector<Node*>& out, std::size_t mark) {
+    for (const Predicate& predicate : step.predicates) {
+      if (out.size() == mark) return;
+      if (predicate.kind == PredicateKind::kPosition) {
+        if (predicate.position > out.size() - mark) {
+          out.resize(mark);
+        } else {
+          out[mark] = out[mark + predicate.position - 1];
+          out.resize(mark + 1);
+        }
+        continue;
+      }
+      auto kept = out.begin() + static_cast<std::ptrdiff_t>(mark);
+      for (auto it = kept; it != out.end(); ++it) {
+        if (holds(**it, predicate)) *kept++ = *it;
+      }
+      out.erase(kept, out.end());
+    }
+  }
+
+  void apply(const Step& step, const std::vector<Node*>& contexts,
+             std::vector<Node*>& out) {
+    // Contexts are distinct, and a node has one parent, so child and
+    // attribute steps cannot select a node twice. Only a descendant step
+    // run from several contexts can: one context may lie below another.
+    const bool overlap = step.axis == Axis::kDescendant &&
+                         step.test != NodeTest::kAttribute &&
+                         contexts.size() > 1;
+    std::unordered_set<const Node*> seen;
+    for (Node* context : contexts) {
+      const std::size_t mark = out.size();
+      append_candidates(*context, step, out);
+      filter(step, out, mark);
+      if (!overlap) continue;
+      auto kept = out.begin() + static_cast<std::ptrdiff_t>(mark);
+      for (auto it = kept; it != out.end(); ++it) {
+        if (seen.insert(*it).second) *kept++ = *it;
+      }
+      out.erase(kept, out.end());
+    }
+  }
+
+  bool holds(Node& candidate, const Predicate& predicate) {
+    const std::vector<Step>& steps = predicate.path.steps;
+    const Step* attribute =
+        !steps.empty() && steps.back().test == NodeTest::kAttribute
+            ? &steps.back()
+            : nullptr;
+    if (steps.size() == 1 && attribute != nullptr &&
+        attribute->predicates.empty()) {
+      // [@a] and [@a=literal]: one attribute lookup, no selection. A text
+      // node has no attributes, so it fails both.
+      const std::string* value = candidate.attribute(attribute->name);
+      return value != nullptr && (predicate.kind == PredicateKind::kExists ||
+                                  literal_equals(*value, predicate.literal));
+    }
+
+    Borrowed selected(scratch_);
+    selected->push_back(&candidate);
+    run(steps.data(), steps.data() + steps.size(), *selected);
+    if (predicate.kind == PredicateKind::kExists) return !selected->empty();
+    for (const Node* node : *selected) {
+      if (attribute != nullptr) {
+        const std::string* value = node->attribute(attribute->name);
+        if (value != nullptr && literal_equals(*value, predicate.literal)) {
+          return true;
+        }
+      } else if (literal_equals(value_of(*node), predicate.literal)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// String-value of `node`: a reference to the text when one text node
+  /// holds it (a leaf element), otherwise built in the scratch string.
+  const std::string& value_of(const Node& node) {
+    if (node.is_text()) return node.value();
+    const auto& children = node.children();
+    if (children.size() == 1 && children.front()->is_text()) {
+      return children.front()->value();
+    }
+    scratch_.text.clear();
+    node.append_deep_text(scratch_.text);
+    return scratch_.text;
+  }
+
+  Scratch& scratch_;
+};
 
 }  // namespace
 
@@ -146,39 +245,12 @@ bool literal_equals(const std::string& value, const std::string& literal) {
 std::vector<xml::Node*> evaluate(const Path& path,
                                  const xml::Document& document) {
   if (!document.has_root() || path.empty()) return {};
-  // The virtual document node: treat the root element as the single "child"
-  // of an invisible context, i.e. the first step tests the root itself for
-  // the child axis and the whole tree for the descendant axis.
-  const Step& first = path.steps.front();
-  std::vector<Node*> contexts;
-  Node* root = document.root();
-
-  std::vector<Node*> first_candidates;
-  const auto root_matches = [&] {
-    switch (first.test) {
-      case NodeTest::kName: return root->name() == first.name;
-      case NodeTest::kWildcard: return true;
-      case NodeTest::kText: return false;
-      case NodeTest::kAttribute: return root->attribute(first.name) != nullptr;
-    }
-    return false;
-  };
-  if (first.axis == Axis::kChild) {
-    if (root_matches()) first_candidates.push_back(root);
-  } else {
-    if (root_matches()) first_candidates.push_back(root);
-    collect_candidates(*root, first, first_candidates);
-  }
-  apply_predicates(first, first_candidates);
-  contexts = std::move(first_candidates);
-
-  std::vector<Step> rest(path.steps.begin() + 1, path.steps.end());
-  return evaluate_steps(rest, std::move(contexts));
+  return Evaluator().absolute(path, *document.root());
 }
 
 std::vector<xml::Node*> evaluate_relative(const RelativePath& path,
                                           xml::Node& context) {
-  return evaluate_steps(path.steps, {&context});
+  return Evaluator().relative(path.steps, context);
 }
 
 std::vector<std::string> evaluate_strings(const Path& path,

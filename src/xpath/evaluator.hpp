@@ -4,11 +4,30 @@
 //  * absolute paths evaluate from a virtual document node whose only child is
 //    the root element;
 //  * '/'  = child axis, '//' = descendant axis (any depth below the context);
+//    an attribute step selects the element that owns the attribute, so its
+//    axis plays no role;
 //  * position predicates are applied per context node, after the other
 //    predicates that precede them lexically;
 //  * equality compares the candidate's string-value (concatenated descendant
 //    text, or attribute value) with the literal — numerically when both
 //    sides parse as numbers, as strings otherwise.
+//
+// Order and duplicates: a step's output lists its contexts' candidates one
+// context after another, each context's in document order. Duplicates are
+// removed (the first occurrence stays) only after a descendant step run from
+// more than one context. That is the only step that can reach a node twice,
+// since the contexts are distinct and a node has one parent.
+//
+// Cost: each step appends its candidates to one buffer, reused for the
+// whole path, and filters them there. A child step costs one pass over each
+// context's children, a descendant step one pre-order walk of each
+// context's subtree, an attribute step one attribute lookup per context;
+// de-duplication adds one hash insert per surviving node. Each candidate
+// then pays per predicate: [n] is O(1) per context; [@a] and [@a=lit] are
+// one attribute lookup; any other predicate path is evaluated from the
+// candidate in scratch buffers reused across candidates (per thread), and
+// an equality compares the text of a leaf element in place and builds
+// other string-values in one reused string.
 #pragma once
 
 #include <string>

@@ -4,8 +4,19 @@
 // of guide matching that feeds XDGL's logical locks.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
+#include <memory>
+#include <string>
+
 #include "dataguide/guide_match.hpp"
+#include "txn/operation.hpp"
+#include "util/hash.hpp"
+#include "util/rng.hpp"
+#include "workload/fragmentation.hpp"
+#include "workload/workload_gen.hpp"
 #include "workload/xmark.hpp"
+#include "xml/parser.hpp"
 #include "xpath/evaluator.hpp"
 #include "xpath/parser.hpp"
 
@@ -160,6 +171,135 @@ TEST(GuideConditionTest, ChildValuePredicateConditions) {
   }
   // Predicate targets: the name guide nodes under each continent's item.
   EXPECT_FALSE(match.predicate_targets.empty());
+}
+
+// --- evaluator parity ----------------------------------------------------------
+//
+// Every row (and every selected node id) that a fixed set of expressions
+// produces over a fixed 1 MB base, folded into one FNV-1a hash and compared
+// with a constant recorded from the evaluator before its allocation-free
+// rewrite. dtxbench checks read-snapshot rows by replaying them through the
+// same evaluator, so it cannot see a semantic drift; these constants can.
+// If a deliberate semantic change moves them, re-record both and say why.
+
+const workload::XmarkData& xmark_1mb() {
+  static workload::XmarkData data = [] {
+    workload::XmarkOptions options;
+    options.target_bytes = 1'000'000;
+    options.seed = 7;
+    return workload::generate_xmark(options);
+  }();
+  return data;
+}
+
+/// Appends what `path` selects in `doc` to `transcript`: the node ids from
+/// evaluate, then the rows from evaluate_strings, with separators so that a
+/// moved boundary changes the hash.
+void transcribe(const xpath::Path& path, const xml::Document& doc,
+                std::string& transcript) {
+  for (const xml::Node* node : xpath::evaluate(path, doc)) {
+    transcript += std::to_string(node->id());
+    transcript += ',';
+  }
+  transcript += '\x1e';
+  for (const std::string& row : xpath::evaluate_strings(path, doc)) {
+    transcript += row;
+    transcript += '\x1f';
+  }
+  transcript += '\x1d';
+}
+
+std::string hex(std::uint64_t value) {
+  char buffer[19];
+  std::snprintf(buffer, sizeof(buffer), "0x%016llx",
+                static_cast<unsigned long long>(value));
+  return buffer;
+}
+
+TEST(EvaluatorParityTest, GeneratorOperationsMatchRecordedRows) {
+  const workload::XmarkData& data = xmark_1mb();
+  const std::vector<workload::Fragment> fragments =
+      workload::fragment_xmark(data, 8);
+  std::map<std::string, std::unique_ptr<xml::Document>> docs;
+  for (const workload::Fragment& fragment : fragments) {
+    auto parsed = xml::parse(fragment.xml, fragment.doc_name);
+    ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+    docs.emplace(fragment.doc_name, std::move(parsed).value());
+  }
+
+  // Half update transactions: their target paths select through the same
+  // evaluator (XUpdate target selection, Node2PL lock sets). Nothing is
+  // applied, so every operation sees the same base.
+  workload::WorkloadOptions options;
+  options.update_txn_fraction = 0.5;
+  workload::WorkloadGenerator generator(fragments, options);
+  util::Rng rng(2024);
+  std::string transcript;
+  std::size_t operations = 0;
+  for (int txn = 0; txn < 400; ++txn) {
+    for (const std::string& text : generator.make_transaction(rng)) {
+      auto op = txn::parse_operation(text);
+      ASSERT_TRUE(op.is_ok()) << text;
+      const xml::Document& doc = *docs.at(op.value().doc);
+      transcribe(op.value().is_update() ? op.value().update.target
+                                        : op.value().query,
+                 doc, transcript);
+      ++operations;
+    }
+  }
+  EXPECT_EQ(operations, 2000u);
+  EXPECT_EQ(hex(util::fnv1a64(transcript)), "0xd06c667e0936878a");
+}
+
+TEST(EvaluatorParityTest, GrammarSweepMatchesRecordedRows) {
+  const xml::Document& doc = *xmark_1mb().document;
+  const char* const expressions[] = {
+      "/site",
+      "//person//name",
+      "//name/text()",
+      "//text()",
+      "//*",
+      "//*[@id]",
+      "//*[@person]/@person",
+      "/site/*/*[3]",
+      "/site//*[2]",
+      "//*/*[1]",
+      "/site/regions/*/item[2]/name",
+      "/site/regions/*/item[@id][1]/@id",
+      "//open_auction[bidder][2]/current",
+      "//open_auction/bidder[1]/increase",
+      "//open_auction/bidder[personref][2]/date",
+      "//open_auction/bidder[2][personref]/date",
+      "//person[profile/age='30']/name",
+      "//person/profile[age=30]/interest",
+      "//person[address]/@id",
+      "//item[quantity=1]/@id",
+      "//item[quantity='01']/name",
+      "//item[payment]/payment/text()",
+      "/site/catgraph/edge[@from='category1']/@to",
+      "//edge[@to][@from='category2']",
+      "//closed_auction/annotation/description",
+      "//category[name]/description/text/text()",
+      "//category",
+      "/site/people/person[@id='person3']//text()",
+      "/site/people/person[@id='person3']/*",
+      "/site/open_auctions/open_auction[@id='open_auction5'][initial]/reserve",
+      "//seller/@person",
+      "//item//text()",
+      "/site/regions//item[location][3]/name",
+      "//person[watches]",
+      "//nothing[@id]",
+      "/site/people/person[@nothing]",
+      "/site/people/person[text()]",
+      "/site/people/person/name[text()]",
+  };
+  std::string transcript;
+  for (const char* expression : expressions) {
+    auto path = xpath::parse(expression);
+    ASSERT_TRUE(path.is_ok()) << expression;
+    transcribe(path.value(), doc, transcript);
+  }
+  EXPECT_EQ(hex(util::fnv1a64(transcript)), "0x56e187a2f782b0f0");
 }
 
 }  // namespace

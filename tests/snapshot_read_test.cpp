@@ -14,6 +14,7 @@
 //    routes read-only transactions through the lock manager.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -292,6 +293,53 @@ TEST(SnapshotStoreTest, UnknownDocumentIsRejected) {
   StoreFixture fx;
   auto cut = fx.snaps.snapshot({"nope"});
   EXPECT_FALSE(cut.is_ok());
+}
+
+TEST(SnapshotStoreTest, ReleasedPinsHappenBeforeInPlaceAdvance) {
+  // TSAN target. Readers evaluate XPath on a pinned version and drop the
+  // pin; meanwhile a commit lands and the next version is resolved, which
+  // advances that same cached tree in place once no reader pins it. The
+  // readers report their release through a relaxed counter, which orders
+  // the events without adding a happens-before edge, so only the store's
+  // own pin protocol can order the readers' reads before the rewrite.
+  constexpr int kReaders = 3;
+  StoreFixture fx;
+  SnapshotStore::DocView view;
+  {
+    auto first = fx.snaps.snapshot({"d"});
+    ASSERT_TRUE(first.is_ok()) << first.status().to_string();
+    view = first.value().at("d");
+  }
+  std::string expected = "111";
+  for (TxnId txn = 400; txn < 440; ++txn) {
+    std::atomic<int> released{0};
+    std::vector<std::thread> readers;
+    for (int reader = 0; reader < kReaders; ++reader) {
+      readers.emplace_back([copy = view, &released, expected]() mutable {
+        const auto phones =
+            eval(copy, "/site/people/person[@id='p1']/phone");
+        EXPECT_EQ(phones, std::vector<std::string>{expected});
+        copy.tree.reset();
+        released.fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+    view.tree.reset();
+    expected = "r" + std::to_string(txn);
+    fx.commit_change(txn, expected);
+    while (released.load(std::memory_order_relaxed) < kReaders) {
+      std::this_thread::yield();
+    }
+    auto next = fx.snaps.snapshot({"d"});
+    for (std::thread& thread : readers) thread.join();
+    ASSERT_TRUE(next.is_ok()) << next.status().to_string();
+    view = next.value().at("d");
+    EXPECT_EQ(eval(view, "/site/people/person[@id='p1']/phone"),
+              std::vector<std::string>{expected});
+  }
+  // Every version was resolved from an unpinned tree: advanced in place,
+  // never cloned, never rebuilt from the log.
+  EXPECT_EQ(fx.snaps.stats().clones, 0u);
+  EXPECT_EQ(fx.snaps.stats().materializes, 1u);
 }
 
 TEST(SnapshotStoreTest, StressReadersVsWritersVsCheckpoints) {

@@ -261,5 +261,144 @@ TEST(XPathEvalTest, LiteralEqualsRules) {
   EXPECT_TRUE(literal_equals("007", "7"));
 }
 
+// --- semantics table -----------------------------------------------------------
+//
+// What the evaluator must keep however it is built: the order of a step's
+// output (contexts one after another, each in document order), duplicates
+// removed after descendant steps from several contexts, position predicates
+// counted per context and after the predicates before them, and the string
+// and numeric comparison rules.
+
+struct EvalCase {
+  const char* xml;
+  const char* expression;
+  /// One label per selected node, in order: an element's id attribute
+  /// (its name when it has none), a text node's value in quotes.
+  std::vector<std::string> expected;
+};
+
+std::string label(const Node& node) {
+  if (node.is_text()) return "'" + node.value() + "'";
+  const std::string* id = node.attribute("id");
+  return id != nullptr ? *id : node.name();
+}
+
+constexpr const char* kNestedA =
+    "<r><a id='a1'><b id='b1'/><a id='a2'><b id='b2'/><b id='b3'/></a>"
+    "<b id='b4'/></a><a id='a3'><b id='b5'/></a></r>";
+constexpr const char* kTwoLists =
+    "<r><a id='a1'><b id='b1'/><b id='b2'/></a><a id='a2'><b id='b3'/></a>"
+    "</r>";
+constexpr const char* kKeyed =
+    "<r><a><b id='x1' k='1'/><b id='x2' k='2'/><b id='x3' k='1'/></a>"
+    "<a><b id='x4' k='1'/><b id='x5' k='1'/></a></r>";
+constexpr const char* kSparseAttrs =
+    "<r><a id='a1'>t1<b/></a><a>t2</a><a id='a3'/></r>";
+constexpr const char* kPrices =
+    "<r><p id='p1'><price>1.50</price></p><p id='p2'><price>1.5x</price></p>"
+    "<p id='p3' n='007'><price>2</price></p></r>";
+constexpr const char* kMixed = "<r><a>x<b>y</b>z</a><c>w</c></r>";
+constexpr const char* kProfiles =
+    "<site><person id='p1'><profile><age>30</age></profile></person>"
+    "<person id='p2'><profile><age>31</age></profile>"
+    "<profile><age>30.0</age></profile></person><person id='p3'/></site>";
+
+const EvalCase kEvalCases[] = {
+    // Nested descendants reached from several contexts: no duplicates,
+    // document order within each context.
+    {kNestedA, "//a//b", {"b1", "b2", "b3", "b4", "b5"}},
+    {kNestedA, "//a//a", {"a2"}},
+    {kNestedA, "//a//b[1]", {"b1", "b2", "b5"}},
+    {kNestedA, "//a//b[2]", {"b2", "b3"}},
+    {kNestedA, "//a/b", {"b1", "b4", "b2", "b3", "b5"}},
+    // Position predicates count per context.
+    {kTwoLists, "/r/a/b[1]", {"b1", "b3"}},
+    {kTwoLists, "/r/a/b[2]", {"b2"}},
+    {kTwoLists, "/r/a[2]/b", {"b3"}},
+    {kTwoLists, "//b[1]", {"b1"}},  // one context: the document node
+    {kTwoLists, "/r/a/b[3]", {}},
+    // ... and after the predicates written before them.
+    {kKeyed, "/r/a/b[@k='1'][2]", {"x3", "x5"}},
+    {kKeyed, "/r/a/b[2][@k='1']", {"x5"}},
+    {kKeyed, "/r/a/b[@k='1'][1][1]", {"x1", "x4"}},
+    {kKeyed, "/r/a/b[@k='1'][1][2]", {}},
+    // [@a] on text nodes and on elements without attributes.
+    {kSparseAttrs, "/r/a/text()[@id]", {}},
+    {kSparseAttrs, "/r/a/text()[@id='a1']", {}},
+    {kSparseAttrs, "/r/a/b[@id]", {}},
+    {kSparseAttrs, "/r/a[@id]", {"a1", "a3"}},
+    {kSparseAttrs, "//*[@id='a3']", {"a3"}},
+    {kSparseAttrs, "/r/a/@id", {"a1", "a3"}},
+    // Numeric literal equality when both sides parse as numbers.
+    {kPrices, "/r/p[price=1.5]", {"p1"}},
+    {kPrices, "/r/p[price='1.5']", {"p1"}},
+    {kPrices, "/r/p[price=2.0]", {"p3"}},
+    {kPrices, "/r/p[price='1.5x']", {"p2"}},
+    {kPrices, "/r/p[@n=7]", {"p3"}},
+    {kPrices, "/r/p[@n='007']", {"p3"}},
+    // Descendant text() and string-values over mixed content.
+    {kMixed, "//text()", {"'x'", "'y'", "'z'", "'w'"}},
+    {kMixed, "/r/a//text()", {"'x'", "'y'", "'z'"}},
+    {kMixed, "/r/a/text()", {"'x'", "'z'"}},
+    {kMixed, "/r//text()[2]", {"'y'"}},
+    {kMixed, "/r/*//text()[1]", {"'x'", "'w'"}},
+    {kMixed, "/r[a='xyz']", {"r"}},
+    {kMixed, "/r[a='xy']", {}},
+    {kMixed, "/r[//text()='w']", {"r"}},
+    // Multi-step relative predicates: any selected node may match.
+    {kProfiles, "/site/person[profile/age='30']", {"p1", "p2"}},
+    {kProfiles, "/site/person[profile[1]/age='30']", {"p1"}},
+    {kProfiles, "/site/person[profile/age]", {"p1", "p2"}},
+    {kProfiles, "/site/person[profile//text()='31']", {"p2"}},
+    {kProfiles, "/site/person[profile/age='30'][2]", {"p2"}},
+};
+
+TEST(XPathSemanticsTest, Table) {
+  for (const EvalCase& test_case : kEvalCases) {
+    auto doc = xml::parse(test_case.xml, "t");
+    ASSERT_TRUE(doc.is_ok()) << test_case.xml;
+    std::vector<std::string> got;
+    for (const Node* node : eval(test_case.expression, *doc.value())) {
+      got.push_back(label(*node));
+    }
+    EXPECT_EQ(got, test_case.expected)
+        << test_case.expression << " over " << test_case.xml;
+  }
+}
+
+// An attribute step selects the element owning the attribute whatever its
+// axis, so an absolute '//@id' selects the root once (it used to list the
+// root twice, breaking the no-duplicates contract).
+TEST(XPathSemanticsTest, AttributeFirstStepSelectsTheRootOnce) {
+  auto doc = xml::parse("<r id='r1'><a id='a1'/></r>", "t");
+  ASSERT_TRUE(doc.is_ok());
+  for (const char* expression : {"//@id", "/@id", "/r//@id"}) {
+    const auto nodes = eval(expression, *doc.value());
+    ASSERT_EQ(nodes.size(), 1u) << expression;
+    EXPECT_EQ(nodes[0], doc.value()->root()) << expression;
+  }
+}
+
+TEST(XPathSemanticsTest, RelativePathsKeepTheSameRules) {
+  auto doc = xml::parse(kNestedA, "t");
+  ASSERT_TRUE(doc.is_ok());
+  Node* a1 = doc.value()->root()->child(0);
+  for (const auto& [expression, expected] :
+       std::vector<std::pair<const char*, std::vector<std::string>>>{
+           {"b", {"b1", "b4"}},
+           {"//b[1]", {"b1"}},
+           {"a//b[2]", {"b3"}},
+           {"*//b", {"b2", "b3"}},
+       }) {
+    auto rel = parse_relative(expression);
+    ASSERT_TRUE(rel.is_ok()) << expression;
+    std::vector<std::string> got;
+    for (const Node* node : evaluate_relative(rel.value(), *a1)) {
+      got.push_back(label(*node));
+    }
+    EXPECT_EQ(got, expected) << expression;
+  }
+}
+
 }  // namespace
 }  // namespace dtx::xpath
