@@ -217,7 +217,7 @@ void BM_ChangeApplyCommit(benchmark::State& state) {
     auto applied =
         xupdate::apply(op.value(), *data.document, undo, guide.get());
     benchmark::DoNotOptimize(applied);
-    undo.commit(*data.document);
+    undo.commit();
   }
 }
 BENCHMARK(BM_ChangeApplyCommit);

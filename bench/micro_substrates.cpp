@@ -5,7 +5,10 @@
 
 #include "dataguide/dataguide.hpp"
 #include "dataguide/guide_match.hpp"
+#include "txn/operation.hpp"
+#include "util/rng.hpp"
 #include "workload/fragmentation.hpp"
+#include "workload/workload_gen.hpp"
 #include "workload/xmark.hpp"
 #include "xml/parser.hpp"
 #include "xml/serializer.hpp"
@@ -127,6 +130,62 @@ void BM_XPathFragmentScanStrings(benchmark::State& state) {
   run_on_people_fragment(state, "/site/people/person/name", true);
 }
 BENCHMARK(BM_XPathFragmentScanStrings);
+
+// The generator's read mix over every fragment of the same 4 MB base: the
+// read-only operations WorkloadGenerator produces, each evaluated on its
+// fragment's tree as a snapshot read runs it (evaluate_strings). One
+// benchmark per query shape; an iteration is one operation, the next in the
+// generated order.
+enum class Shape { kChildPoint, kDescendantPoint, kScan };
+
+struct GeneratorMix {
+  std::map<std::string, std::unique_ptr<xml::Document>> docs;
+  std::vector<std::pair<const xml::Document*, xpath::Path>> ops[3];
+};
+
+const GeneratorMix& generator_mix() {
+  static const GeneratorMix mix = [] {
+    GeneratorMix out;
+    const std::vector<workload::Fragment> fragments =
+        workload::fragment_xmark(xmark_of(4'000'000), 8);
+    for (const workload::Fragment& fragment : fragments) {
+      out.docs.emplace(fragment.doc_name,
+                       xml::parse(fragment.xml, fragment.doc_name).value());
+    }
+    workload::WorkloadGenerator generator(fragments, {});
+    util::Rng rng(7);
+    for (int txn = 0; txn < 2000; ++txn) {
+      for (const std::string& text : generator.make_transaction(rng)) {
+        const txn::Operation op = txn::parse_operation(text).value();
+        const std::string query = op.query.to_string();
+        const Shape shape =
+            query.find("[@id=") == std::string::npos ? Shape::kScan
+            : query.rfind("//", 0) == 0              ? Shape::kDescendantPoint
+                                                     : Shape::kChildPoint;
+        out.ops[static_cast<int>(shape)].emplace_back(
+            out.docs.at(op.doc).get(), op.query);
+      }
+    }
+    return out;
+  }();
+  return mix;
+}
+
+void BM_XPathGeneratorMix(benchmark::State& state, Shape shape) {
+  const auto& ops = generator_mix().ops[static_cast<int>(shape)];
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const auto& [doc, path] = ops[next];
+    auto rows = xpath::evaluate_strings(path, *doc);
+    benchmark::DoNotOptimize(rows);
+    next = next + 1 == ops.size() ? 0 : next + 1;
+  }
+  state.counters["ops"] = static_cast<double>(ops.size());
+}
+BENCHMARK_CAPTURE(BM_XPathGeneratorMix, child_point, Shape::kChildPoint);
+BENCHMARK_CAPTURE(BM_XPathGeneratorMix, descendant_point,
+                  Shape::kDescendantPoint);
+BENCHMARK_CAPTURE(BM_XPathGeneratorMix, scan, Shape::kScan);
 
 void BM_XPathParse(benchmark::State& state) {
   for (auto _ : state) {

@@ -79,6 +79,7 @@ Status DataManager::load_document(const std::string& name) {
   }
   entry.version = durable.value().version;
   // Replace any stale entry (replica re-adoption after a migration).
+  drop_undo_of(name);
   documents_.erase(name);
   auto [it, inserted] = documents_.emplace(name, std::move(entry));
   (void)inserted;
@@ -94,7 +95,14 @@ Status DataManager::load_document(const std::string& name) {
 }
 
 void DataManager::drop_document(const std::string& name) {
+  drop_undo_of(name);
   documents_.erase(name);
+}
+
+void DataManager::drop_undo_of(const std::string& doc) {
+  for (auto& [key, state] : txn_states_) {
+    if (key.second == doc) state.undo.commit();
+  }
 }
 
 bool DataManager::has_document(const std::string& name) const {
@@ -245,7 +253,7 @@ Status DataManager::persist(TxnId txn,
             SnapshotStore::Delta{doc, entry->version, state.redo});
       }
     }
-    if (entry != nullptr) state.undo.commit(*entry->document);
+    state.undo.commit();
     txn_states_.erase(state_it);
     const auto writers = live_writers_.find(doc);
     if (writers != live_writers_.end() && --writers->second == 0) {

@@ -173,6 +173,10 @@ class DataManager {
   };
 
   DocEntry* entry_of(const std::string& name);
+  /// Empties every undo log on `doc` before its tree goes away: the
+  /// subtrees they hold live in that tree's node pool. Callers fence the
+  /// document first, so there are normally none.
+  void drop_undo_of(const std::string& doc);
   /// The (txn, doc) state, created on first use (tracked in docs_of_txn_
   /// and live_writers_ so per-transaction cleanup is O(touched docs) and
   /// checkpoints know which documents carry uncommitted changes).

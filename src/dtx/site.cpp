@@ -779,6 +779,14 @@ void Site::handle_catalog_ack(const net::CatalogAck& ack) {
 
 void Site::handle_join_request(net::SiteId from,
                                const net::JoinRequest& request) {
+  if (pending_join_ && pending_join_->joiner == request.site) {
+    // The joiner's own retry while its admission drains — the eventual
+    // JoinReply answers it. Checked before membership: once this site has
+    // installed the new epoch the joiner already counts as a member, but
+    // the other members may not have drained yet.
+    pending_join_->reply_to = from;
+    return;
+  }
   const Catalog::View view = ctx_.catalog.view();
   if (view->is_member(request.site)) {
     // Idempotent admit — also the catalog-fetch path of a lagging member
@@ -793,13 +801,6 @@ void Site::handle_join_request(net::SiteId from,
     ctx_.send(from, net::JoinReply{false, view->epoch, "", why});
   };
   if (leaving_) return refuse("seed site is decommissioning");
-  if (pending_join_ && pending_join_->joiner == request.site) {
-    // The joiner's own retry while its admission drains — the eventual
-    // JoinReply answers it; refusing here would fail a join that is
-    // actually progressing.
-    pending_join_->reply_to = from;
-    return;
-  }
   if (pending_join_) return refuse("another membership change is in flight");
   std::vector<SiteId> members = view->members;
   members.push_back(request.site);

@@ -266,7 +266,7 @@ Status apply_records(const std::vector<LogEntry>& records,
                           std::to_string(entry.version) +
                           " failed: " + applied.status().to_string());
       }
-      scratch.commit(document);
+      scratch.commit();
     }
   }
   return Status::ok();

@@ -100,6 +100,39 @@ class Writer {
   std::string& out_;
 };
 
+/// Writer's twin that only counts the bytes Writer would append: the wire
+/// size of a payload without building the frame.
+class Sizer {
+ public:
+  [[nodiscard]] std::size_t bytes() const noexcept { return bytes_; }
+
+  void u8(std::uint8_t) { bytes_ += 1; }
+  void u32(std::uint32_t) { bytes_ += 4; }
+  void u64(std::uint64_t) { bytes_ += 8; }
+  void boolean(bool) { bytes_ += 1; }
+  void f64(double) { bytes_ += 8; }
+  void str(std::string_view v) { bytes_ += 4 + v.size(); }
+  void str_vec(const std::vector<std::string>& v) {
+    bytes_ += 4;
+    for (const std::string& s : v) str(s);
+  }
+  void row_vec(const std::vector<std::vector<std::string>>& v) {
+    bytes_ += 4;
+    for (const auto& rows : v) str_vec(rows);
+  }
+  void u32_vec(const std::vector<std::uint32_t>& v) {
+    bytes_ += 4 + 4 * v.size();
+  }
+  void op(const txn::Operation& v) { str(v.to_string()); }
+  void op_vec(const std::vector<txn::Operation>& v) {
+    bytes_ += 4;
+    for (const txn::Operation& o : v) op(o);
+  }
+
+ private:
+  std::size_t bytes_ = 0;
+};
+
 // --- primitive readers ------------------------------------------------------
 
 // Fail-stop reader: every getter checks bounds and flips `ok` on underflow
@@ -233,8 +266,10 @@ constexpr std::uint8_t kMaxTxnState = 4;
 
 // --- per-payload encoders ---------------------------------------------------
 
+/// Writes a payload's tag and fields through `W` (Writer or Sizer).
+template <typename W>
 struct EncodeVisitor {
-  Writer& w;
+  W& w;
 
   void operator()(const ExecuteOperation& m) const {
     w.u8(kTagExecuteOperation);
@@ -680,7 +715,7 @@ void encode(const Message& message, std::string& out) {
   Writer w(out);
   w.u32(message.from);
   w.u32(message.to);
-  std::visit(EncodeVisitor{w}, message.payload);
+  std::visit(EncodeVisitor<Writer>{w}, message.payload);
   const std::size_t body_len = out.size() - body_at;
   const std::uint64_t checksum =
       util::fnv1a64(std::string_view(out).substr(body_at, body_len));
@@ -722,12 +757,9 @@ Result<Message> decode(std::string_view frame) {
 }
 
 std::size_t encoded_payload_size(const Payload& payload) {
-  // One scratch buffer per thread: the SimNetwork bandwidth model calls
-  // this per send, so the encode must not allocate each time.
-  thread_local std::string scratch;
-  scratch.clear();
-  encode(Message{0, 0, payload}, scratch);
-  return scratch.size();
+  Sizer sizer;
+  std::visit(EncodeVisitor<Sizer>{sizer}, payload);
+  return kHeaderBytes + 8 + sizer.bytes();  // header, from + to, payload
 }
 
 void FrameReader::feed(std::string_view bytes) {

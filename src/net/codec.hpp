@@ -61,7 +61,8 @@ void encode(const Message& message, std::string& out);
 [[nodiscard]] util::Result<Message> decode(std::string_view frame);
 
 /// Exact encoded frame size of a payload (from/to contribute a fixed 8
-/// bytes regardless of value). This is net::payload_wire_size's backend.
+/// bytes regardless of value), counted without copying the payload or
+/// building the frame. This is net::payload_wire_size's backend.
 [[nodiscard]] std::size_t encoded_payload_size(const Payload& payload);
 
 /// Incremental frame extraction over a TCP byte stream.

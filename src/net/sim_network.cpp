@@ -26,6 +26,8 @@ std::vector<SiteId> SimNetwork::sites() const {
 }
 
 void SimNetwork::send(Message message) {
+  // Counted before the lock: sizing walks the whole payload.
+  const std::size_t bytes = payload_wire_size(message.payload);
   Mailbox* mailbox = nullptr;
   Mailbox::Clock::time_point deliver_at;
   bool duplicate = false;
@@ -43,7 +45,6 @@ void SimNetwork::send(Message message) {
     if (it == mailboxes_.end()) return;
     mailbox = it->second.get();
 
-    const std::size_t bytes = payload_wire_size(message.payload);
     ++stats_.messages_sent;
     ++stats_.sent_by_kind[message.payload.index()];
     stats_.bytes_sent += bytes;

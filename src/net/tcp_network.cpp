@@ -188,40 +188,49 @@ std::vector<SiteId> TcpNetwork::sites() const {
 }
 
 void TcpNetwork::send(Message message) {
+  // Local endpoints short-circuit the sockets entirely (a site's
+  // coordinator messaging its own participant). Mailboxes are never
+  // unregistered, so the pointer stays valid after the lock; the bytes are
+  // counted outside it.
+  Mailbox* local = nullptr;
   bool need_wake = false;
   {
     sync::MutexLock lock(mutex_);
-    // Local endpoints short-circuit the sockets entirely (a site's
-    // coordinator messaging its own participant).
-    const auto local = mailboxes_.find(message.to);
-    if (local != mailboxes_.end()) {
-      const std::size_t bytes = codec::encoded_payload_size(message.payload);
+    const auto it = mailboxes_.find(message.to);
+    if (it != mailboxes_.end()) {
+      local = it->second.get();
+    } else {
+      int fd = -1;
+      const auto dialed = dialed_.find(message.to);
+      if (dialed != dialed_.end()) {
+        fd = dialed->second;
+      } else {
+        const auto accepted = accepted_.find(message.to);
+        if (accepted != accepted_.end()) fd = accepted->second;
+      }
+      if (fd < 0) {
+        ++stats_.messages_dropped;
+        return;
+      }
+      Conn& conn = *conns_.at(fd);
+      const std::size_t before = conn.out.size();
+      codec::encode(message, conn.out);
+      ++stats_.messages_sent;
+      ++stats_.sent_by_kind[message.payload.index()];
+      stats_.bytes_sent += conn.out.size() - before;
+      need_wake = true;
+    }
+  }
+  if (local != nullptr) {
+    const std::size_t bytes = payload_wire_size(message.payload);
+    {
+      sync::MutexLock lock(mutex_);
       ++stats_.messages_sent;
       ++stats_.sent_by_kind[message.payload.index()];
       stats_.bytes_sent += bytes;
-      local->second->push(std::move(message), Mailbox::Clock::now());
-      return;
     }
-
-    int fd = -1;
-    const auto dialed = dialed_.find(message.to);
-    if (dialed != dialed_.end()) {
-      fd = dialed->second;
-    } else {
-      const auto accepted = accepted_.find(message.to);
-      if (accepted != accepted_.end()) fd = accepted->second;
-    }
-    if (fd < 0) {
-      ++stats_.messages_dropped;
-      return;
-    }
-    Conn& conn = *conns_.at(fd);
-    const std::size_t before = conn.out.size();
-    codec::encode(message, conn.out);
-    ++stats_.messages_sent;
-    ++stats_.sent_by_kind[message.payload.index()];
-    stats_.bytes_sent += conn.out.size() - before;
-    need_wake = true;
+    local->push(std::move(message), Mailbox::Clock::now());
+    return;
   }
   // The loop thread re-arms EPOLLOUT for connections with pending bytes.
   if (need_wake) wake();

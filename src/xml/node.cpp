@@ -1,104 +1,130 @@
 #include "xml/node.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "xml/document.hpp"
 
 namespace dtx::xml {
 
-Node::Node(NodeKind kind, NodeId id, std::string name_or_value)
-    : kind_(kind), id_(id) {
-  if (kind == NodeKind::kElement) {
-    name_ = std::move(name_or_value);
-  } else {
-    value_ = std::move(name_or_value);
-  }
+void Subtree::reset() noexcept {
+  Node* node = std::exchange(node_, nullptr);
+  if (node != nullptr) node->document().release(node);
 }
 
-void Node::set_name(std::string name) {
+void Node::set_name(std::string_view name) {
   assert(is_element());
-  name_ = std::move(name);
+  name_ = document().intern(name);
 }
 
-void Node::set_value(std::string value) { value_ = std::move(value); }
+void Node::set_value(std::string value) { payload_->value = std::move(value); }
 
 const std::string* Node::attribute(std::string_view name) const {
-  for (const auto& [key, value] : attributes_) {
-    if (key == name) return &value;
+  for (std::uint32_t i = 0; i < attribute_count_; ++i) {
+    if (attributes_[i].name() == name) return &attributes_[i].value;
   }
   return nullptr;
 }
 
 void Node::set_attribute(std::string_view name, std::string value) {
   assert(is_element());
-  for (auto& [key, existing] : attributes_) {
-    if (key == name) {
-      existing = std::move(value);
+  const Name* key = document().intern(name);
+  for (Attribute& attribute : payload_->attributes) {
+    if (attribute.key == key) {
+      attribute.value = std::move(value);
       return;
     }
   }
-  attributes_.emplace_back(std::string(name), std::move(value));
+  payload_->attributes.push_back(Attribute{key, std::move(value)});
+  sync_attributes();
 }
 
 bool Node::remove_attribute(std::string_view name) {
-  const auto it = std::find_if(
-      attributes_.begin(), attributes_.end(),
-      [&](const auto& pair) { return pair.first == name; });
-  if (it == attributes_.end()) return false;
-  attributes_.erase(it);
+  const auto it =
+      std::find_if(payload_->attributes.begin(), payload_->attributes.end(),
+                   [&](const Attribute& attribute) {
+                     return attribute.name() == name;
+                   });
+  if (it == payload_->attributes.end()) return false;
+  payload_->attributes.erase(it);
+  sync_attributes();
   return true;
 }
 
 std::size_t Node::index_in_parent() const {
   if (parent_ == nullptr) return 0;
-  for (std::size_t i = 0; i < parent_->children_.size(); ++i) {
-    if (parent_->children_[i].get() == this) return i;
+  const auto siblings = parent_->children();
+  const auto it = std::find(siblings.begin(), siblings.end(), this);
+  assert(it != siblings.end() && "node not found in its parent's child list");
+  return static_cast<std::size_t>(it - siblings.begin());
+}
+
+void Node::reserve_children(std::size_t count) {
+  if (count <= child_capacity()) return;
+  const std::uint32_t capacity =
+      std::bit_ceil(static_cast<std::uint32_t>(count));
+  Node** grown = document().allocate_children(capacity);
+  std::copy(children_, children_ + child_count_, grown);
+  if (children_ != nullptr) {
+    document().free_children(children_, child_capacity());
   }
-  assert(false && "node not found in its parent's child list");
-  return 0;
+  children_ = grown;
+  capacity_log2_ = static_cast<std::uint8_t>(std::countr_zero(capacity));
 }
 
-Node* Node::insert_child(std::size_t position, std::unique_ptr<Node> child) {
+Node* Node::insert_child(std::size_t position, Subtree subtree) {
   assert(is_element() && "text nodes cannot have children");
-  assert(child != nullptr);
-  assert(child->parent_ == nullptr && "child must be detached first");
-  position = std::min(position, children_.size());
-  child->parent_ = this;
-  Node* raw = child.get();
-  children_.insert(children_.begin() + static_cast<std::ptrdiff_t>(position),
-                   std::move(child));
-  return raw;
+  assert(subtree != nullptr);
+  Node* node = subtree.release();
+  assert(node->parent_ == nullptr && "child must be detached first");
+  assert(&node->document() == &document() &&
+         "child belongs to another document");
+  reserve_children(child_count_ + 1);
+  position = std::min<std::size_t>(position, child_count_);
+  std::copy_backward(children_ + position, children_ + child_count_,
+                     children_ + child_count_ + 1);
+  children_[position] = node;
+  ++child_count_;
+  if (node->is_element()) ++element_child_count_;
+  node->parent_ = this;
+  return node;
 }
 
-std::unique_ptr<Node> Node::remove_child(std::size_t position) {
-  assert(position < children_.size());
-  std::unique_ptr<Node> child =
-      std::move(children_[position]);
-  children_.erase(children_.begin() + static_cast<std::ptrdiff_t>(position));
-  child->parent_ = nullptr;
-  return child;
+Subtree Node::remove_child(std::size_t position) {
+  assert(position < child_count_);
+  Node* node = children_[position];
+  std::copy(children_ + position + 1, children_ + child_count_,
+            children_ + position);
+  --child_count_;
+  if (node->is_element()) --element_child_count_;
+  node->parent_ = nullptr;
+  return Subtree(node);
 }
 
 Node* Node::first_child_named(std::string_view tag) const {
-  for (const auto& child : children_) {
-    if (child->is_element() && child->name() == tag) return child.get();
+  const Name* name = document().lookup_name(tag);
+  if (name == nullptr) return nullptr;
+  for (Node* node : children()) {
+    if (node->name_ == name && node->is_element()) return node;
   }
   return nullptr;
 }
 
 std::vector<Node*> Node::children_named(std::string_view tag) const {
   std::vector<Node*> out;
-  for (const auto& child : children_) {
-    if (child->is_element() && child->name() == tag) out.push_back(child.get());
+  const Name* name = document().lookup_name(tag);
+  if (name == nullptr) return out;
+  for (Node* node : children()) {
+    if (node->name_ == name && node->is_element()) out.push_back(node);
   }
   return out;
 }
 
 std::string Node::text() const {
   std::string out;
-  for (const auto& child : children_) {
-    if (child->is_text()) out += child->value();
+  for (const Node* node : children()) {
+    if (node->is_text()) out += node->value();
   }
   return out;
 }
@@ -111,10 +137,10 @@ std::string Node::deep_text() const {
 
 void Node::append_deep_text(std::string& out) const {
   if (is_text()) {
-    out += value_;
+    out += value();
     return;
   }
-  for (const auto& child : children_) child->append_deep_text(out);
+  for (const Node* node : children()) node->append_deep_text(out);
 }
 
 std::string Node::label_path() const {
@@ -125,14 +151,14 @@ std::string Node::label_path() const {
   std::string path;
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     path += '/';
-    path += (*it)->is_element() ? (*it)->name_ : "#text";
+    path += (*it)->is_element() ? (*it)->name() : "#text";
   }
   return path;
 }
 
 std::size_t Node::subtree_size() const {
   std::size_t total = 1;
-  for (const auto& child : children_) total += child->subtree_size();
+  for (const Node* node : children()) total += node->subtree_size();
   return total;
 }
 
@@ -150,26 +176,19 @@ bool Node::contains(const Node& other) const {
 }
 
 bool Node::deep_equal(const Node& other) const {
-  if (kind_ != other.kind_ || name_ != other.name_ || value_ != other.value_ ||
-      attributes_ != other.attributes_ ||
-      children_.size() != other.children_.size()) {
+  if (kind_ != other.kind_ || name() != other.name() ||
+      value() != other.value() || attributes() != other.attributes() ||
+      child_count_ != other.child_count_) {
     return false;
   }
-  for (std::size_t i = 0; i < children_.size(); ++i) {
+  for (std::size_t i = 0; i < child_count_; ++i) {
     if (!children_[i]->deep_equal(*other.children_[i])) return false;
   }
   return true;
 }
 
-std::unique_ptr<Node> Node::clone(Document& id_source) const {
-  std::unique_ptr<Node> copy =
-      is_element() ? id_source.create_element(name_)
-                   : id_source.create_text(value_);
-  copy->attributes_ = attributes_;
-  for (const auto& child : children_) {
-    copy->append_child(child->clone(id_source));
-  }
-  return copy;
+Subtree Node::clone(Document& target) const {
+  return Subtree(target.copy_in(*this, &target == &document()));
 }
 
 }  // namespace dtx::xml

@@ -26,7 +26,7 @@ class Parser {
   Parser(std::string_view text, Document& document, ParseOptions options)
       : text_(text), document_(document), options_(options) {}
 
-  Result<std::unique_ptr<Node>> parse_document_element() {
+  Result<Subtree> parse_document_element() {
     skip_prolog();
     if (at_end()) return error("no root element found");
     auto root = parse_element();
@@ -105,19 +105,19 @@ class Parser {
     }
   }
 
-  Result<std::string> parse_name() {
+  Result<std::string_view> parse_name() {
     if (at_end() || !is_name_start(peek())) return error("expected a name");
     const std::size_t start = pos_;
     while (!at_end() && is_name_char(peek())) ++pos_;
-    return std::string(text_.substr(start, pos_ - start));
+    return text_.substr(start, pos_ - start);
   }
 
-  Result<std::unique_ptr<Node>> parse_element() {
+  Result<Subtree> parse_element() {
     if (at_end() || peek() != '<') return error("expected '<'");
     ++pos_;
     auto name = parse_name();
     if (!name) return name.status();
-    auto element = document_.create_element(std::move(name).value());
+    Subtree element = document_.create_element(name.value());
 
     // Attributes.
     for (;;) {
@@ -151,7 +151,7 @@ class Parser {
         auto close = parse_name();
         if (!close) return close.status();
         if (close.value() != element->name()) {
-          return error("mismatched close tag </" + close.value() +
+          return error("mismatched close tag </" + std::string(close.value()) +
                        "> for <" + element->name() + ">");
         }
         skip_whitespace();
@@ -227,9 +227,8 @@ Result<std::unique_ptr<Document>> parse(std::string_view text,
   return document;
 }
 
-Result<std::unique_ptr<Node>> parse_fragment(std::string_view text,
-                                             Document& document,
-                                             const ParseOptions& options) {
+Result<Subtree> parse_fragment(std::string_view text, Document& document,
+                               const ParseOptions& options) {
   Parser parser(text, document, options);
   return parser.parse_document_element();
 }

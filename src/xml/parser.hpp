@@ -25,9 +25,9 @@ util::Result<std::unique_ptr<Document>> parse(
     std::string_view text, std::string document_name,
     const ParseOptions& options = {});
 
-/// Parses a fragment (single element subtree) into an existing document's id
-/// space, returning a detached subtree.
-util::Result<std::unique_ptr<Node>> parse_fragment(
+/// Parses a fragment (single element subtree) into an existing document,
+/// returning it detached.
+util::Result<Subtree> parse_fragment(
     std::string_view text, Document& document,
     const ParseOptions& options = {});
 

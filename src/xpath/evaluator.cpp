@@ -8,6 +8,7 @@ namespace dtx::xpath {
 
 namespace {
 
+using xml::Name;
 using xml::Node;
 
 bool parse_number(const std::string& text, double& out) {
@@ -17,43 +18,83 @@ bool parse_number(const std::string& text, double& out) {
   return end == text.c_str() + text.size();
 }
 
-/// Whether `node` passes the node test of `step`. An attribute test is
-/// passed by the element that owns the attribute.
-bool node_test(const Node& node, const Step& step) {
-  switch (step.test) {
-    case NodeTest::kName:
-      return node.is_element() && node.name() == step.name;
-    case NodeTest::kWildcard:
-      return node.is_element();
-    case NodeTest::kText:
-      return node.is_text();
-    case NodeTest::kAttribute:
-      return node.is_element() && node.attribute(step.name) != nullptr;
+/// An equality predicate's literal, classified once: a candidate's value is
+/// parsed as a number only when the literal is one.
+class Literal {
+ public:
+  explicit Literal(const std::string& text)
+      : text_(text), numeric_(parse_number(text, number_)) {}
+
+  [[nodiscard]] bool equals(const std::string& value) const {
+    double parsed = 0.0;
+    if (numeric_ && parse_number(value, parsed)) return parsed == number_;
+    return value == text_;
   }
-  return false;
+
+ private:
+  const std::string& text_;
+  double number_ = 0.0;
+  bool numeric_;
+};
+
+/// A step's node test bound to one document: names become that document's
+/// interned Name, so testing a node is a pointer compare.
+struct Test {
+  NodeTest kind = NodeTest::kName;
+  /// kName / kAttribute: nullptr when the document has no such name, so
+  /// no node passes.
+  const Name* name = nullptr;
+
+  /// Whether `node` passes. An attribute test is passed by the element
+  /// that owns the attribute.
+  [[nodiscard]] bool passes(const Node& node) const noexcept {
+    switch (kind) {
+      case NodeTest::kName:
+        return node.interned_name() == name && node.is_element();
+      case NodeTest::kWildcard:
+        return node.is_element();
+      case NodeTest::kText:
+        return node.is_text();
+      case NodeTest::kAttribute:
+        return node.attribute(name) != nullptr;
+    }
+    return false;
+  }
+
+  /// True when no node of the document can pass.
+  [[nodiscard]] bool never() const noexcept {
+    return name == nullptr &&
+           (kind == NodeTest::kName || kind == NodeTest::kAttribute);
+  }
+};
+
+/// Appends the nodes strictly below `context` that pass `test`, pre-order.
+/// Only a text() test enters nodes whose children are all text.
+void append_descendants(const Node& context, const Test& test,
+                        std::vector<Node*>& out) {
+  const bool text = test.kind == NodeTest::kText;
+  for (Node* child : context.children()) {
+    if (test.passes(*child)) out.push_back(child);
+    if ((text ? child->child_count() : child->element_child_count()) != 0) {
+      append_descendants(*child, test, out);
+    }
+  }
 }
 
-/// Appends `node` and its descendants that pass the node test, pre-order.
-void append_subtree(Node& node, const Step& step, std::vector<Node*>& out) {
-  if (node_test(node, step)) out.push_back(&node);
-  for (const auto& child : node.children()) append_subtree(*child, step, out);
-}
-
-/// Appends the candidates `step` produces from one context, in document
-/// order, before predicates. An attribute step selects the context itself
-/// whatever its axis.
-void append_candidates(Node& context, const Step& step,
+/// Appends the candidates a step with `test` produces from one context, in
+/// document order, before predicates. An attribute step selects the
+/// context itself whatever its axis.
+void append_candidates(Node& context, Axis axis, const Test& test,
                        std::vector<Node*>& out) {
-  if (step.test == NodeTest::kAttribute) {
-    if (node_test(context, step)) out.push_back(&context);
-  } else if (step.axis == Axis::kChild) {
-    for (const auto& child : context.children()) {
-      if (node_test(*child, step)) out.push_back(child.get());
+  if (test.never()) return;
+  if (test.kind == NodeTest::kAttribute) {
+    if (test.passes(context)) out.push_back(&context);
+  } else if (axis == Axis::kChild) {
+    for (Node* child : context.children()) {
+      if (test.passes(*child)) out.push_back(child);
     }
   } else {
-    for (const auto& child : context.children()) {
-      append_subtree(*child, step, out);
-    }
+    append_descendants(context, test, out);
   }
 }
 
@@ -65,6 +106,8 @@ struct Scratch {
   std::deque<std::vector<Node*>> buffers;
   std::size_t used = 0;
   std::string text;
+  /// The current evaluation's steps bound to its document.
+  std::vector<std::pair<const Step*, Test>> tests;
 };
 
 /// One cleared scratch buffer, handed back when the borrow ends.
@@ -89,18 +132,22 @@ class Borrowed {
 
 class Evaluator {
  public:
-  Evaluator() : scratch_(instance()) {}
+  explicit Evaluator(const xml::Document& document)
+      : scratch_(instance()), document_(document) {
+    scratch_.tests.clear();
+  }
 
   /// Selection of `path` from the virtual document node whose only child
   /// is `root`: the child axis tests the root, the descendant axis the
   /// root's whole subtree, an attribute test the root's attributes.
   std::vector<Node*> absolute(const Path& path, Node& root) {
     const Step& first = path.steps.front();
+    const Test test = test_of(first);
     Borrowed nodes(scratch_);
-    if (first.axis == Axis::kChild || first.test == NodeTest::kAttribute) {
-      if (node_test(root, first)) nodes->push_back(&root);
-    } else {
-      append_subtree(root, first, *nodes);
+    if (test.passes(root)) nodes->push_back(&root);
+    if (first.axis == Axis::kDescendant && first.test != NodeTest::kAttribute &&
+        !test.never()) {
+      append_descendants(root, test, *nodes);
     }
     filter(first, *nodes, 0);
     run(path.steps.data() + 1, path.steps.data() + path.steps.size(),
@@ -121,6 +168,19 @@ class Evaluator {
   static Scratch& instance() {
     thread_local Scratch scratch;
     return scratch;
+  }
+
+  /// `step`'s test bound to the document, looked up once per evaluation.
+  /// Returned by value: binding a later step may grow the table.
+  Test test_of(const Step& step) {
+    for (const auto& [bound, test] : scratch_.tests) {
+      if (bound == &step) return test;
+    }
+    Test test{step.test, nullptr};
+    if (step.test == NodeTest::kName || step.test == NodeTest::kAttribute) {
+      test.name = document_.lookup_name(step.name);
+    }
+    return scratch_.tests.emplace_back(&step, test).second;
   }
 
   /// Applies steps [first, last) to the contexts in `nodes` and leaves the
@@ -151,9 +211,10 @@ class Evaluator {
         }
         continue;
       }
+      const Literal literal(predicate.literal);
       auto kept = out.begin() + static_cast<std::ptrdiff_t>(mark);
       for (auto it = kept; it != out.end(); ++it) {
-        if (holds(**it, predicate)) *kept++ = *it;
+        if (holds(**it, predicate, literal)) *kept++ = *it;
       }
       out.erase(kept, out.end());
     }
@@ -167,10 +228,11 @@ class Evaluator {
     const bool overlap = step.axis == Axis::kDescendant &&
                          step.test != NodeTest::kAttribute &&
                          contexts.size() > 1;
+    const Test test = test_of(step);
     std::unordered_set<const Node*> seen;
     for (Node* context : contexts) {
       const std::size_t mark = out.size();
-      append_candidates(*context, step, out);
+      append_candidates(*context, step.axis, test, out);
       filter(step, out, mark);
       if (!overlap) continue;
       auto kept = out.begin() + static_cast<std::ptrdiff_t>(mark);
@@ -181,7 +243,8 @@ class Evaluator {
     }
   }
 
-  bool holds(Node& candidate, const Predicate& predicate) {
+  bool holds(Node& candidate, const Predicate& predicate,
+             const Literal& literal) {
     const std::vector<Step>& steps = predicate.path.steps;
     const Step* attribute =
         !steps.empty() && steps.back().test == NodeTest::kAttribute
@@ -191,22 +254,21 @@ class Evaluator {
         attribute->predicates.empty()) {
       // [@a] and [@a=literal]: one attribute lookup, no selection. A text
       // node has no attributes, so it fails both.
-      const std::string* value = candidate.attribute(attribute->name);
+      const std::string* value = candidate.attribute(test_of(*attribute).name);
       return value != nullptr && (predicate.kind == PredicateKind::kExists ||
-                                  literal_equals(*value, predicate.literal));
+                                  literal.equals(*value));
     }
 
     Borrowed selected(scratch_);
     selected->push_back(&candidate);
     run(steps.data(), steps.data() + steps.size(), *selected);
     if (predicate.kind == PredicateKind::kExists) return !selected->empty();
+    const Name* key = attribute == nullptr ? nullptr : test_of(*attribute).name;
     for (const Node* node : *selected) {
       if (attribute != nullptr) {
-        const std::string* value = node->attribute(attribute->name);
-        if (value != nullptr && literal_equals(*value, predicate.literal)) {
-          return true;
-        }
-      } else if (literal_equals(value_of(*node), predicate.literal)) {
+        const std::string* value = node->attribute(key);
+        if (value != nullptr && literal.equals(*value)) return true;
+      } else if (literal.equals(value_of(*node))) {
         return true;
       }
     }
@@ -217,9 +279,8 @@ class Evaluator {
   /// holds it (a leaf element), otherwise built in the scratch string.
   const std::string& value_of(const Node& node) {
     if (node.is_text()) return node.value();
-    const auto& children = node.children();
-    if (children.size() == 1 && children.front()->is_text()) {
-      return children.front()->value();
+    if (node.child_count() == 1 && node.child(0)->is_text()) {
+      return node.child(0)->value();
     }
     scratch_.text.clear();
     node.append_deep_text(scratch_.text);
@@ -227,6 +288,7 @@ class Evaluator {
   }
 
   Scratch& scratch_;
+  const xml::Document& document_;
 };
 
 }  // namespace
@@ -236,21 +298,18 @@ std::string string_value(const xml::Node& node) {
 }
 
 bool literal_equals(const std::string& value, const std::string& literal) {
-  double a = 0.0;
-  double b = 0.0;
-  if (parse_number(value, a) && parse_number(literal, b)) return a == b;
-  return value == literal;
+  return Literal(literal).equals(value);
 }
 
 std::vector<xml::Node*> evaluate(const Path& path,
                                  const xml::Document& document) {
   if (!document.has_root() || path.empty()) return {};
-  return Evaluator().absolute(path, *document.root());
+  return Evaluator(document).absolute(path, *document.root());
 }
 
 std::vector<xml::Node*> evaluate_relative(const RelativePath& path,
                                           xml::Node& context) {
-  return Evaluator().relative(path.steps, context);
+  return Evaluator(context.document()).relative(path.steps, context);
 }
 
 std::vector<std::string> evaluate_strings(const Path& path,
@@ -258,9 +317,12 @@ std::vector<std::string> evaluate_strings(const Path& path,
   std::vector<xml::Node*> nodes = evaluate(path, document);
   std::vector<std::string> out;
   out.reserve(nodes.size());
+  const xml::Name* key = path.targets_attribute()
+                             ? document.lookup_name(path.steps.back().name)
+                             : nullptr;
   for (xml::Node* node : nodes) {
     if (path.targets_attribute()) {
-      const std::string* attr = node->attribute(path.steps.back().name);
+      const std::string* attr = node->attribute(key);
       out.push_back(attr == nullptr ? std::string() : *attr);
     } else {
       out.push_back(string_value(*node));

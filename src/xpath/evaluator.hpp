@@ -18,16 +18,22 @@
 // more than one context. That is the only step that can reach a node twice,
 // since the contexts are distinct and a node has one parent.
 //
-// Cost: each step appends its candidates to one buffer, reused for the
-// whole path, and filters them there. A child step costs one pass over each
-// context's children, a descendant step one pre-order walk of each
-// context's subtree, an attribute step one attribute lookup per context;
+// Cost: a step's names are bound once per evaluation to the document's
+// interned names (xml::Name), so a node test is a pointer compare, and a
+// name the document never used selects nothing without a walk. Each step
+// appends its candidates to one buffer, reused for the whole path, and
+// filters them there. A child step costs one pass over each context's
+// children, a descendant step one pre-order walk of each context's
+// subtree (skipping nodes whose children are all text unless the test is
+// text()), an attribute step one attribute lookup per context;
 // de-duplication adds one hash insert per surviving node. Each candidate
 // then pays per predicate: [n] is O(1) per context; [@a] and [@a=lit] are
 // one attribute lookup; any other predicate path is evaluated from the
 // candidate in scratch buffers reused across candidates (per thread), and
 // an equality compares the text of a leaf element in place and builds
-// other string-values in one reused string.
+// other string-values in one reused string. An equality's literal is
+// classified as numeric or not once per predicate and candidate list; a
+// candidate's value is parsed as a number only when the literal is one.
 #pragma once
 
 #include <string>

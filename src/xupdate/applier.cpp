@@ -77,7 +77,7 @@ Result<ApplyResult> apply_remove(const UpdateOp& op, xml::Document& document,
     if (parent == nullptr) return invalid("cannot remove the document root");
     guide_removing(guide, *target);
     const std::size_t position = target->index_in_parent();
-    std::unique_ptr<Node> detached = parent->remove_child(position);
+    xml::Subtree detached = parent->remove_child(position);
     undo.record_remove(parent->id(), position, std::move(detached));
     ++affected;
   }
@@ -124,7 +124,7 @@ Result<ApplyResult> apply_change(const UpdateOp& op, xml::Document& document,
     for (std::size_t i = target->child_count(); i-- > 0;) {
       if (!target->child(i)->is_text()) continue;
       guide_removing(guide, *target->child(i));
-      std::unique_ptr<Node> detached = target->remove_child(i);
+      xml::Subtree detached = target->remove_child(i);
       undo.record_remove(target->id(), i, std::move(detached));
     }
     Node* text = target->append_child(document.create_text(op.new_text));
@@ -161,7 +161,7 @@ Result<ApplyResult> apply_transpose(const UpdateOp& op,
     Node* old_parent = target->parent();
     const std::size_t old_position = target->index_in_parent();
     guide_removing(guide, *target);
-    std::unique_ptr<Node> detached = old_parent->remove_child(old_position);
+    xml::Subtree detached = old_parent->remove_child(old_position);
     Node* moved = destination->append_child(std::move(detached));
     guide_added(guide, *moved);
     undo.record_move(target->id(), old_parent->id(), old_position);

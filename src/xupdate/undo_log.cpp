@@ -12,7 +12,7 @@ void UndoLog::record_insert(xml::NodeId inserted) {
 }
 
 void UndoLog::record_remove(xml::NodeId parent, std::size_t position,
-                            std::unique_ptr<xml::Node> subtree) {
+                            xml::Subtree subtree) {
   assert(subtree != nullptr);
   Entry entry;
   entry.kind = Kind::kReattach;
@@ -57,9 +57,7 @@ void UndoLog::undo_entry(Entry& entry, xml::Document& document,
       if (guide != nullptr) {
         guide->on_subtree_removed(*node, node->parent()->label_path());
       }
-      std::unique_ptr<xml::Node> detached =
-          node->parent()->remove_child(node->index_in_parent());
-      document.unregister_subtree(*detached);
+      node->parent()->remove_child(node->index_in_parent());
       break;
     }
     case Kind::kReattach: {
@@ -98,7 +96,7 @@ void UndoLog::undo_entry(Entry& entry, xml::Document& document,
       if (guide != nullptr) {
         guide->on_subtree_removed(*node, node->parent()->label_path());
       }
-      std::unique_ptr<xml::Node> detached =
+      xml::Subtree detached =
           node->parent()->remove_child(node->index_in_parent());
       xml::Node* attached =
           old_parent->insert_child(entry.position, std::move(detached));
@@ -116,16 +114,6 @@ void UndoLog::undo_to(std::size_t token, xml::Document& document,
     undo_entry(entries_.back(), document, guide);
     entries_.pop_back();
   }
-}
-
-void UndoLog::commit(xml::Document& document) {
-  for (Entry& entry : entries_) {
-    if (entry.kind == Kind::kReattach && entry.subtree != nullptr) {
-      document.unregister_subtree(*entry.subtree);
-      entry.subtree.reset();
-    }
-  }
-  entries_.clear();
 }
 
 }  // namespace dtx::xupdate

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,7 +26,7 @@ class UndoLog {
 
   /// Undo of a remove: reattach `subtree` under `parent` at `position`.
   void record_remove(xml::NodeId parent, std::size_t position,
-                     std::unique_ptr<xml::Node> subtree);
+                     xml::Subtree subtree);
 
   /// Undo of a rename: restore the old element name.
   void record_rename(xml::NodeId node, std::string old_name);
@@ -59,8 +58,8 @@ class UndoLog {
   }
 
   /// Commit: drops the log. Detached subtrees held for potential reattach
-  /// are unregistered from the document and destroyed.
-  void commit(xml::Document& document);
+  /// are dropped, which frees their nodes.
+  void commit() noexcept { entries_.clear(); }
 
   [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
@@ -80,7 +79,7 @@ class UndoLog {
     xml::NodeId parent = xml::kInvalidNodeId;
     std::size_t position = 0;
     std::string text;
-    std::unique_ptr<xml::Node> subtree;
+    xml::Subtree subtree;
   };
 
   void undo_entry(Entry& entry, xml::Document& document,

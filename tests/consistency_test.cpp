@@ -91,7 +91,7 @@ TEST_P(SerialEquivalence, ClusterMatchesReferenceEngine) {
     xupdate::UndoLog undo;
     auto applied = xupdate::apply(op.value(), *reference, undo);
     ASSERT_TRUE(applied.is_ok()) << update;
-    undo.commit(*reference);
+    undo.commit();
   }
 
   cluster.stop();

@@ -176,13 +176,11 @@ TEST_P(GuideMaintenanceProperty, IncrementalMatchesRebuildUnderInsertRemove) {
       ASSERT_TRUE(xupdate::apply(op.value(), *doc, undo).is_ok());
       guide->on_subtree_added(*people->children_named("person").back(),
                               "/site/people");
-      undo.commit(*doc);
+      undo.commit();
     } else {
       const std::size_t victim = rng.next_index(persons.size());
       guide->on_subtree_removed(*persons[victim], "/site/people");
-      auto removed =
-          people->remove_child(persons[victim]->index_in_parent());
-      doc->unregister_subtree(*removed);
+      people->remove_child(persons[victim]->index_in_parent());
     }
     ASSERT_TRUE(guide->equivalent(*DataGuide::build(*doc)))
         << "diverged at step " << step;
@@ -271,8 +269,7 @@ TEST(GuideMatchTest, ZeroExtentNodesSkipped) {
   while (people->child_count() > 0) {
     auto persons = people->children_named("person");
     guide->on_subtree_removed(*persons[0], "/site/people");
-    auto removed = people->remove_child(persons[0]->index_in_parent());
-    doc->unregister_subtree(*removed);
+    people->remove_child(persons[0]->index_in_parent());
   }
   EXPECT_TRUE(match_expr("/site/people/person", *guide).targets.empty());
   EXPECT_TRUE(match_expr("//person", *guide).targets.empty());

@@ -798,11 +798,16 @@ TEST(CodecTest, OversizedLengthRejects) {
 }
 
 TEST(CodecTest, WireSizeMatchesEncodedFrame) {
+  // payload_wire_size counts the bytes without building the frame; it must
+  // agree with the encoder for every payload kind.
+  std::set<std::size_t> kinds;
   for (const Message& message : codec_corpus()) {
+    kinds.insert(message.payload.index());
     EXPECT_EQ(payload_wire_size(message.payload),
               codec::encode(message).size())
         << payload_name(message.payload);
   }
+  EXPECT_EQ(kinds.size(), std::variant_size_v<Payload>);
 }
 
 TEST(FrameReaderTest, ReassemblesFramesFedByteByByte) {

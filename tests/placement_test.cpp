@@ -23,6 +23,7 @@
 #include "dtx/cluster.hpp"
 #include "dtx/wal.hpp"
 #include "placement/placement.hpp"
+#include "txn/transaction.hpp"
 
 namespace dtx::core {
 namespace {
@@ -404,6 +405,60 @@ TEST_F(MembershipTest, AddSiteServesNewTrafficOnJoiner) {
   for (const std::string& doc : doc_names()) {
     expect_replicas_agree(cluster, doc, view->sites_of(doc));
   }
+}
+
+TEST_F(MembershipTest, JoinWaitsForEveryMemberToDrain) {
+  // The seed installs the join epoch on itself first, and from then on the
+  // joiner counts as a member there. The joiner's retried JoinRequest must
+  // still wait until every old member has drained, or the joiner starts
+  // while a member still holds a transaction of the old epoch.
+  ClusterOptions options = membership_options(3);
+  options.site.orphan_txn_timeout = std::chrono::hours(1);
+  options.site.response_timeout = std::chrono::microseconds(500'000);
+  Cluster cluster(options);
+  load_all(cluster, {0, 1, 2});
+  ASSERT_TRUE(cluster.start().is_ok());
+
+  // A stale participant record at site 1: an execute from a transaction
+  // "coordinated" by site 0 that never ends. Its reply is dropped (and
+  // observed) on the way back.
+  const txn::TxnId stale = txn::make_txn_id(1, 0);
+  std::atomic<bool> planted{false};
+  cluster.network().faults([&planted, stale](net::FaultPlan& plan) {
+    plan.set_message_filter([&planted, stale](const net::Message& message) {
+      const auto* result = std::get_if<net::OperationResult>(&message.payload);
+      if (result == nullptr || result->txn != stale) return false;
+      planted.store(true);
+      return true;
+    });
+  });
+  net::ExecuteOperation execute;
+  execute.txn = stale;
+  execute.attempt = 1;
+  execute.coordinator = 0;
+  execute.epoch = cluster.catalog().view()->epoch;
+  cluster.network().send(net::Message{0, 1, execute});
+  const auto planted_by = std::chrono::steady_clock::now() + 2s;
+  while (!planted.load() && std::chrono::steady_clock::now() < planted_by) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_TRUE(planted.load());
+
+  std::atomic<bool> released{false};
+  std::atomic<bool> returned_early{false};
+  std::thread join([&] {
+    auto added = cluster.add_site();
+    EXPECT_TRUE(added.is_ok()) << added.status().to_string();
+    returned_early.store(!released.load());
+  });
+  // Several JoinRequest retries reach the seed meanwhile.
+  std::this_thread::sleep_for(700ms);
+  released.store(true);
+  cluster.network().send(net::Message{0, 1, net::AbortRequest{stale}});
+  join.join();
+  EXPECT_FALSE(returned_early.load())
+      << "add_site returned while site 1 still held an old-epoch transaction";
+  cluster.stop();
 }
 
 TEST(DecommissionTest, DrainsOwnTransactionsBeforeReportingDone) {

@@ -150,8 +150,8 @@ TEST(DocumentTest, UnregisterSubtree) {
   Node* product = doc->root()->child(1);
   const NodeId id = product->id();
   auto detached = doc->root()->remove_child(1);
-  EXPECT_EQ(doc->find(id), detached.get());  // still registered while alive
-  doc->unregister_subtree(*detached);
+  EXPECT_EQ(doc->find(id), detached.get());  // still registered while held
+  detached.reset();  // dropping the subtree unregisters its ids
   EXPECT_EQ(doc->find(id), nullptr);
 }
 

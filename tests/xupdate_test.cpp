@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "util/rng.hpp"
+#include "workload/xmark.hpp"
 #include "xml/parser.hpp"
 #include "xml/serializer.hpp"
 #include "xpath/evaluator.hpp"
@@ -315,7 +317,7 @@ TEST(UndoLogTest, CommitDropsEntriesAndFreesSubtrees) {
   ASSERT_TRUE(op.is_ok());
   ASSERT_TRUE(apply(op.value(), *doc, undo).is_ok());
   EXPECT_FALSE(undo.empty());
-  undo.commit(*doc);
+  undo.commit();
   EXPECT_TRUE(undo.empty());
   // Removed subtree stays removed.
   EXPECT_EQ(count("/products/product", *doc), 1u);
@@ -338,6 +340,121 @@ TEST(UndoLogTest, InterleavedOperationsUndoInReverse) {
   }
   undo.undo_all(*doc);
   EXPECT_EQ(xml::serialize(*doc), before);
+}
+
+// --- randomized: whatever the updates did to the pool ---------------------------
+
+/// Positional path of an element: "/*" for the root, then "/*[k]" per level
+/// (k counts element siblings, as '*' does).
+std::string path_to(const xml::Node& node) {
+  std::vector<std::size_t> positions;
+  for (const xml::Node* n = &node; n->parent() != nullptr; n = n->parent()) {
+    std::size_t position = 1;
+    for (const xml::Node* sibling : n->parent()->children()) {
+      if (sibling == n) break;
+      if (sibling->is_element()) ++position;
+    }
+    positions.push_back(position);
+  }
+  std::string path = "/*";
+  for (auto it = positions.rbegin(); it != positions.rend(); ++it) {
+    path += "/*[" + std::to_string(*it) + "]";
+  }
+  return path;
+}
+
+/// The tree agrees with its own serialize -> parse copy, and every node in
+/// it resolves through Document::find.
+void expect_consistent(const Document& doc, const std::string& when) {
+  auto copy = xml::parse(xml::serialize(doc), "copy");
+  ASSERT_TRUE(copy.is_ok()) << when;
+  EXPECT_TRUE(doc.deep_equal(*copy.value())) << when;
+  std::size_t visited = 0;
+  doc.root()->visit([&](const xml::Node& node) {
+    ++visited;
+    EXPECT_EQ(doc.find(node.id()), &node) << when;
+    return true;
+  });
+  EXPECT_EQ(visited, doc.node_count()) << when;
+}
+
+TEST(UndoLogTest, RandomUpdatesKeepTreeAndIdIndexConsistent) {
+  workload::XmarkOptions options;
+  options.target_bytes = 20'000;
+  options.seed = 5;
+  auto parsed = xml::parse(
+      xml::serialize(*workload::generate_xmark(options).document), "d");
+  ASSERT_TRUE(parsed.is_ok());
+  std::unique_ptr<Document> doc = std::move(parsed).value();
+  util::Rng rng(21);
+  for (int round = 0; round < 6; ++round) {
+    const std::string before = xml::serialize(*doc);
+    std::vector<xml::NodeId> ids_before;
+    doc->root()->visit([&](const xml::Node& node) {
+      ids_before.push_back(node.id());
+      return true;
+    });
+    UndoLog undo;
+    for (int step = 0; step < 40; ++step) {
+      std::vector<const xml::Node*> elements;
+      doc->root()->visit([&](const xml::Node& node) {
+        if (node.is_element()) elements.push_back(&node);
+        return true;
+      });
+      const xml::Node* target = elements[rng.next_index(elements.size())];
+      const bool root = target->parent() == nullptr;
+      std::string text;
+      switch (rng.next_below(5)) {
+        case 0: {
+          const std::string tag = rng.next_word(1, 6);
+          text = "insert into " + path_to(*target) + " ::= <" + tag +
+                 " k=\"" + rng.next_word(1, 4) + "\"><name>" +
+                 rng.next_word(1, 8) + "</name></" + tag + ">";
+          break;
+        }
+        case 1:
+          if (root) continue;
+          text = "remove " + path_to(*target);
+          break;
+        case 2:
+          if (root) continue;
+          text = "rename " + path_to(*target) + " ::= " + rng.next_word(1, 6);
+          break;
+        case 3:
+          text = "change " + path_to(*target) + " ::= " + rng.next_word(1, 8);
+          break;
+        default: {
+          const xml::Node* destination =
+              elements[rng.next_index(elements.size())];
+          if (root || target->contains(*destination)) continue;
+          text = "transpose " + path_to(*target) + " ::= " +
+                 path_to(*destination);
+          break;
+        }
+      }
+      auto op = parse_update(text);
+      ASSERT_TRUE(op.is_ok()) << text;
+      auto applied = apply(op.value(), *doc, undo);
+      ASSERT_TRUE(applied.is_ok()) << text << ": "
+                                   << applied.status().to_string();
+      EXPECT_EQ(applied.value().affected, 1u) << text;
+      expect_consistent(*doc, text);
+    }
+    if (round % 2 == 0) {
+      undo.undo_all(*doc);
+      EXPECT_EQ(xml::serialize(*doc), before) << "round " << round;
+      std::vector<xml::NodeId> ids_after;
+      doc->root()->visit([&](const xml::Node& node) {
+        ids_after.push_back(node.id());
+        return true;
+      });
+      EXPECT_EQ(ids_after, ids_before) << "round " << round;
+      expect_consistent(*doc, "after undo_all");
+    } else {
+      undo.commit();
+      expect_consistent(*doc, "after commit");
+    }
+  }
 }
 
 }  // namespace
