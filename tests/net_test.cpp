@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <string_view>
@@ -10,6 +11,7 @@
 #include "net/codec.hpp"
 #include "net/sim_network.hpp"
 #include "txn/operation.hpp"
+#include "util/hash.hpp"
 
 namespace dtx::net {
 namespace {
@@ -631,6 +633,61 @@ TEST(CodecTest, EveryPayloadVariantRoundTripsByteExactly) {
     // Byte-exact: re-encoding the decoded message reproduces the frame.
     EXPECT_EQ(codec::encode(decoded.value()), frame)
         << payload_name(message.payload);
+  }
+}
+
+TEST(CodecTest, CorpusFramesMatchRecordedBytes) {
+  // The wire contract, pinned: FNV-1a 64 of every corpus frame, in corpus
+  // order and keyed by payload name. The round-trip tests above pass for
+  // any symmetric change (a field moved on both sides, the variant
+  // reordered); these hashes only match the bytes they were recorded
+  // from. A deliberate wire change re-records them and bumps
+  // codec::kProtocolVersion (which Hello carries, so its hash moves too).
+  static const std::pair<const char*, std::uint64_t> kRecorded[] = {
+      {"execute", 0x924cf848dbf7669cull},
+      {"result", 0x4c9b05c40c4e7abcull},
+      {"result", 0x1e280a203888cbecull},
+      {"undo-op", 0xc255b0eb7856f68dull},
+      {"commit", 0x8a614e25bdcfbf75ull},
+      {"commit-ack", 0x57e03bbc7bac5aedull},
+      {"abort", 0x83bcac6dfe6bc601ull},
+      {"abort-ack", 0xabf07886b1f40bc8ull},
+      {"fail", 0x441a266fc057fd28ull},
+      {"wfg-request", 0x2506201f342451f1ull},
+      {"wfg-reply", 0xc6a2b5e0d6a83e96ull},
+      {"wfg-reply", 0x70eaaecea5d5cdc9ull},
+      {"victim-abort", 0xb8c64e8d8dc615c1ull},
+      {"wake", 0x5158e56b74fc2367ull},
+      {"txn-status-request", 0xb0e76dcb4b984977ull},
+      {"txn-status-reply", 0x0898660df013eb5full},
+      {"snapshot-read", 0x5ec3fc427e14d67aull},
+      {"snapshot-reply", 0xcce0abd51df6952full},
+      {"hello", 0x1a9eb3737eed8da1ull},
+      {"client-submit", 0x2bb2ead855324172ull},
+      {"client-reply", 0x3a11ae9887e43dffull},
+      {"recovery-pull", 0x2532e599f68cd66dull},
+      {"recovery-pull-reply", 0xf9e12edac5a5e9fbull},
+      {"catalog-update", 0xb59ac0f8264ca45eull},
+      {"catalog-update", 0x5fdd931a127a87abull},
+      {"catalog-ack", 0x7f0970087b60d9b3ull},
+      {"join-request", 0x4d18fc7455239131ull},
+      {"join-request", 0x6a7542d75f1b9277ull},
+      {"join-reply", 0x923efeb052c303c5ull},
+      {"join-reply", 0xcb38a23845a6c04cull},
+      {"migrate-doc", 0xea068fc1de9700b2ull},
+      {"migrate-ack", 0x1d4c82192f509343ull},
+      {"drop-doc", 0x8998f839462852eaull},
+  };
+  const std::vector<Message> corpus = codec_corpus();
+  ASSERT_EQ(std::size(kRecorded), corpus.size());
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const char* name = payload_name(corpus[i].payload);
+    EXPECT_STREQ(name, kRecorded[i].first) << "corpus entry " << i;
+    const std::uint64_t hash = util::fnv1a64(codec::encode(corpus[i]));
+    char hex[24];
+    std::snprintf(hex, sizeof(hex), "0x%016llxull",
+                  static_cast<unsigned long long>(hash));
+    EXPECT_EQ(hash, kRecorded[i].second) << name << " frame hashes to " << hex;
   }
 }
 
