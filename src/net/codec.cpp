@@ -1,6 +1,10 @@
 #include "net/codec.hpp"
 
-#include <cstring>
+#include <array>
+#include <bit>
+#include <concepts>
+#include <type_traits>
+#include <utility>
 
 #include "util/hash.hpp"
 
@@ -12,132 +16,198 @@ using util::Status;
 
 namespace {
 
-// Payload tags: the variant alternative's position plus one, frozen here as
-// explicit constants (the wire contract — reordering the variant without
-// renumbering would silently change the protocol; the static_assert below
-// forces this table to be revisited whenever an alternative is added).
-enum Tag : std::uint8_t {
-  kTagExecuteOperation = 1,
-  kTagOperationResult = 2,
-  kTagUndoOperation = 3,
-  kTagCommitRequest = 4,
-  kTagCommitAck = 5,
-  kTagAbortRequest = 6,
-  kTagAbortAck = 7,
-  kTagFailNotice = 8,
-  kTagWfgRequest = 9,
-  kTagWfgReply = 10,
-  kTagVictimAbort = 11,
-  kTagWakeTxn = 12,
-  kTagTxnStatusRequest = 13,
-  kTagTxnStatusReply = 14,
-  kTagSnapshotReadRequest = 15,
-  kTagSnapshotReadReply = 16,
-  kTagHello = 17,
-  kTagClientSubmit = 18,
-  kTagClientReply = 19,
-  kTagRecoveryPullRequest = 20,
-  kTagRecoveryPullReply = 21,
-  kTagCatalogUpdate = 22,
-  kTagCatalogAck = 23,
-  kTagJoinRequest = 24,
-  kTagJoinReply = 25,
-  kTagMigrateDoc = 26,
-  kTagMigrateAck = 27,
-  kTagDropDoc = 28,
-};
-
-static_assert(std::variant_size_v<Payload> == 28,
-              "new Payload alternative: assign its Tag and add an encoder, "
-              "a decoder case and a payload_name entry");
-
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8;  // magic, length, checksum
 
-// --- primitive writers ------------------------------------------------------
+static_assert(kPayloadTagCount < 256, "the tag travels as one byte");
 
+constexpr std::uint8_t kMaxAbortReason =
+    static_cast<std::uint8_t>(txn::AbortReason::kStaleCatalog);
+constexpr std::uint8_t kMaxTxnOutcome =
+    static_cast<std::uint8_t>(TxnOutcome::kAborted);
+// txn::TxnState tops out at kFailed = 4; transaction.hpp is above the wire
+// layer, so the bound is mirrored here (ClientReply carries the raw byte).
+constexpr std::uint8_t kMaxTxnState = 4;
+
+constexpr bool in_range(txn::AbortReason reason) {
+  return static_cast<std::uint8_t>(reason) <= kMaxAbortReason;
+}
+constexpr bool in_range(TxnOutcome outcome) {
+  return static_cast<std::uint8_t>(outcome) <= kMaxTxnOutcome;
+}
+
+// --- field lists ------------------------------------------------------------
+//
+// Each payload's wire layout, written once. `a(...)` names the fields in
+// wire order; Writer and Sizer encode them and Reader decodes them in
+// place, each by overloads on the field's type (see Writer::put). `a.check`
+// is a decode-time validation: Reader rejects the frame when it is false,
+// the write side ignores it. `m` is const when encoding.
+
+template <typename M, typename T>
+concept Is = std::same_as<std::remove_const_t<M>, T>;
+
+template <typename A>
+void fields(A& a, Is<ExecuteOperation> auto& m) {
+  a(m.txn, m.attempt, m.coordinator, m.epoch, m.op_indices, m.ops);
+  a.check(m.ops.size() == m.op_indices.size(),
+          "slice indices and operations differ in count");
+}
+template <typename A>
+void fields(A& a, Is<OperationResult> auto& m) {
+  a(m.txn, m.attempt, m.op_indices, m.rows, m.lock_conflict, m.failed,
+    m.deadlock, m.reason, m.error);
+  a.check(m.rows.size() == m.op_indices.size(),
+          "slice indices and rows differ in count");
+  a.check(in_range(m.reason), "abort reason out of range");
+}
+template <typename A>
+void fields(A& a, Is<UndoOperation> auto& m) {
+  a(m.txn, m.op_index, m.attempt);
+}
+template <typename A>
+void fields(A& a, Is<CommitRequest> auto& m) { a(m.txn); }
+template <typename A>
+void fields(A& a, Is<CommitAck> auto& m) { a(m.txn, m.ok); }
+template <typename A>
+void fields(A& a, Is<AbortRequest> auto& m) { a(m.txn); }
+template <typename A>
+void fields(A& a, Is<AbortAck> auto& m) { a(m.txn, m.ok); }
+template <typename A>
+void fields(A& a, Is<FailNotice> auto& m) { a(m.txn); }
+template <typename A>
+void fields(A& a, Is<WfgRequest> auto& m) { a(m.probe, m.requester); }
+template <typename A>
+void fields(A& a, Is<wfg::Edge> auto& m) { a(m.waiter, m.holder); }
+template <typename A>
+void fields(A& a, Is<WfgReply> auto& m) { a(m.probe, m.edges); }
+template <typename A>
+void fields(A& a, Is<VictimAbort> auto& m) { a(m.txn); }
+template <typename A>
+void fields(A& a, Is<WakeTxn> auto& m) { a(m.txn); }
+template <typename A>
+void fields(A& a, Is<TxnStatusRequest> auto& m) { a(m.txn, m.requester); }
+template <typename A>
+void fields(A& a, Is<TxnStatusReply> auto& m) {
+  a(m.txn, m.outcome);
+  a.check(in_range(m.outcome), "txn outcome out of range");
+}
+template <typename A>
+void fields(A& a, Is<SnapshotReadRequest> auto& m) {
+  a(m.txn, m.coordinator, m.epoch, m.op_indices, m.ops);
+  a.check(m.ops.size() == m.op_indices.size(),
+          "snapshot indices and operations differ in count");
+}
+template <typename A>
+void fields(A& a, Is<SnapshotReadReply> auto& m) {
+  a(m.txn, m.ok, m.reason, m.error, m.op_indices, m.rows);
+  a.check(in_range(m.reason), "abort reason out of range");
+  // A failure reply keeps its indices but carries no rows.
+  a.check(!m.ok || m.rows.size() == m.op_indices.size(),
+          "snapshot indices and rows differ in count");
+}
+template <typename A>
+void fields(A& a, Is<Hello> auto& m) { a(m.id, m.protocol); }
+template <typename A>
+void fields(A& a, Is<ClientSubmit> auto& m) { a(m.seq, m.ops); }
+template <typename A>
+void fields(A& a, Is<ClientReply> auto& m) {
+  a(m.seq, m.accepted, m.txn, m.state, m.reason, m.deadlock_victim,
+    m.wait_episodes, m.response_ms, m.detail, m.rows);
+  a.check(m.state <= kMaxTxnState, "txn state out of range");
+  a.check(m.reason <= kMaxAbortReason, "abort reason out of range");
+}
+template <typename A>
+void fields(A& a, Is<RecoveryPullRequest> auto& m) { a(m.doc, m.requester); }
+template <typename A>
+void fields(A& a, Is<RecoveryPullReply> auto& m) {
+  a(m.doc, m.ok, m.version, m.snapshot, m.log);
+}
+template <typename A>
+void fields(A& a, Is<CatalogUpdate> auto& m) { a(m.epoch, m.catalog, m.admin); }
+template <typename A>
+void fields(A& a, Is<CatalogAck> auto& m) { a(m.epoch, m.site); }
+template <typename A>
+void fields(A& a, Is<JoinRequest> auto& m) { a(m.site, m.address); }
+template <typename A>
+void fields(A& a, Is<JoinReply> auto& m) {
+  a(m.ok, m.epoch, m.catalog, m.error);
+}
+template <typename A>
+void fields(A& a, Is<MigrateDoc> auto& m) {
+  a(m.doc, m.epoch, m.version, m.snapshot, m.log);
+}
+template <typename A>
+void fields(A& a, Is<MigrateAck> auto& m) { a(m.doc, m.site, m.ok, m.version); }
+template <typename A>
+void fields(A& a, Is<DropDoc> auto& m) { a(m.doc, m.epoch); }
+
+// --- field types ------------------------------------------------------------
+
+template <typename T>
+struct IsVector : std::false_type {};
+template <typename T>
+struct IsVector<std::vector<T>> : std::true_type {};
+
+/// Counts what a Writer would append: the wire size without the bytes.
+struct ByteCount {
+  std::size_t size = 0;
+  void append(const char*, std::size_t n) { size += n; }
+};
+
+/// Encodes fields onto `Out` — a std::string, or a ByteCount (Sizer).
+/// Integers are little-endian at their own width, bools one 0/1 byte, enums
+/// their underlying byte, doubles their IEEE-754 bits; strings and vectors
+/// are u32-length-prefixed. Typed operations travel as their canonical text
+/// — the WAL's round-trippable form. Any other struct writes its own field
+/// list.
+template <typename Out>
 class Writer {
  public:
-  explicit Writer(std::string& out) : out_(out) {}
+  explicit Writer(Out& out) : out_(out) {}
 
-  void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
+  template <typename... T>
+  void operator()(const T&... v) {
+    (put(v), ...);
   }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void boolean(bool v) { u8(v ? 1 : 0); }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-  }
-  void str(std::string_view v) {
-    u32(static_cast<std::uint32_t>(v.size()));
-    out_.append(v);
-  }
-  void str_vec(const std::vector<std::string>& v) {
-    u32(static_cast<std::uint32_t>(v.size()));
-    for (const std::string& s : v) str(s);
-  }
-  void row_vec(const std::vector<std::vector<std::string>>& v) {
-    u32(static_cast<std::uint32_t>(v.size()));
-    for (const auto& rows : v) str_vec(rows);
-  }
-  void u32_vec(const std::vector<std::uint32_t>& v) {
-    u32(static_cast<std::uint32_t>(v.size()));
-    for (std::uint32_t x : v) u32(x);
-  }
-  /// Canonical text form — the WAL's round-trippable operation encoding.
-  void op(const txn::Operation& v) { str(v.to_string()); }
-  void op_vec(const std::vector<txn::Operation>& v) {
-    u32(static_cast<std::uint32_t>(v.size()));
-    for (const txn::Operation& o : v) op(o);
-  }
+  void check(bool, const char*) {}
 
  private:
-  std::string& out_;
+  template <typename T>
+  void put(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      put(static_cast<std::uint8_t>(v ? 1 : 0));
+    } else if constexpr (std::is_enum_v<T>) {
+      put(static_cast<std::underlying_type_t<T>>(v));
+    } else if constexpr (std::is_unsigned_v<T>) {
+      char bytes[sizeof(T)];
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        bytes[i] = static_cast<char>(static_cast<std::uint64_t>(v) >> (8 * i));
+      }
+      out_.append(bytes, sizeof(T));
+    } else if constexpr (std::is_same_v<T, double>) {
+      put(std::bit_cast<std::uint64_t>(v));
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      put(static_cast<std::uint32_t>(v.size()));
+      out_.append(v.data(), v.size());
+    } else if constexpr (std::is_same_v<T, txn::Operation>) {
+      put(v.to_string());
+    } else if constexpr (IsVector<T>::value) {
+      put(static_cast<std::uint32_t>(v.size()));
+      for (const auto& item : v) put(item);
+    } else {
+      fields(*this, v);
+    }
+  }
+
+  Out& out_;
 };
 
-/// Writer's twin that only counts the bytes Writer would append: the wire
-/// size of a payload without building the frame.
-class Sizer {
- public:
-  [[nodiscard]] std::size_t bytes() const noexcept { return bytes_; }
+using Sizer = Writer<ByteCount>;
 
-  void u8(std::uint8_t) { bytes_ += 1; }
-  void u32(std::uint32_t) { bytes_ += 4; }
-  void u64(std::uint64_t) { bytes_ += 8; }
-  void boolean(bool) { bytes_ += 1; }
-  void f64(double) { bytes_ += 8; }
-  void str(std::string_view v) { bytes_ += 4 + v.size(); }
-  void str_vec(const std::vector<std::string>& v) {
-    bytes_ += 4;
-    for (const std::string& s : v) str(s);
-  }
-  void row_vec(const std::vector<std::vector<std::string>>& v) {
-    bytes_ += 4;
-    for (const auto& rows : v) str_vec(rows);
-  }
-  void u32_vec(const std::vector<std::uint32_t>& v) {
-    bytes_ += 4 + 4 * v.size();
-  }
-  void op(const txn::Operation& v) { str(v.to_string()); }
-  void op_vec(const std::vector<txn::Operation>& v) {
-    bytes_ += 4;
-    for (const txn::Operation& o : v) op(o);
-  }
-
- private:
-  std::size_t bytes_ = 0;
-};
-
-// --- primitive readers ------------------------------------------------------
-
-// Fail-stop reader: every getter checks bounds and flips `ok` on underflow
-// or malformed content; callers check ok once per frame. Values read after
-// a failure are zero/empty — never uninitialized, never out of bounds.
+// Fail-stop decoder, Writer's inverse: reads each field in place, checks
+// bounds and content, and flips `ok` on the first underflow or malformed
+// value; callers check ok once per frame. Fields read after a failure keep
+// their defaults — never uninitialized, never out of bounds.
 class Reader {
  public:
   explicit Reader(std::string_view data) : data_(data) {}
@@ -146,101 +216,73 @@ class Reader {
   [[nodiscard]] bool done() const noexcept {
     return ok_ && pos_ == data_.size();
   }
+  [[nodiscard]] const char* error() const noexcept { return error_; }
 
-  std::uint8_t u8() {
-    if (!need(1)) return 0;
-    return static_cast<std::uint8_t>(data_[pos_++]);
+  template <typename... T>
+  void operator()(T&... v) {
+    (get(v), ...);
   }
-  std::uint32_t u32() {
-    if (!need(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
+  void check(bool valid, const char* what) {
+    if (!valid) fail(what);
   }
-  std::uint64_t u64() {
-    if (!need(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-  bool boolean() {
-    const std::uint8_t v = u8();
-    if (v > 1) fail("boolean byte not 0/1");
-    return v == 1;
-  }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  /// A byte constrained to [0, max] — enum range validation.
-  std::uint8_t enum8(std::uint8_t max, const char* what) {
-    const std::uint8_t v = u8();
-    if (v > max) fail(what);
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t len = u32();
-    if (!need(len)) return {};
-    std::string v(data_.substr(pos_, len));
-    pos_ += len;
-    return v;
-  }
-  std::vector<std::string> str_vec() {
-    const std::uint32_t count = u32();
-    std::vector<std::string> v;
-    for (std::uint32_t i = 0; ok_ && i < count; ++i) v.push_back(str());
-    return v;
-  }
-  std::vector<std::vector<std::string>> row_vec() {
-    const std::uint32_t count = u32();
-    std::vector<std::vector<std::string>> v;
-    for (std::uint32_t i = 0; ok_ && i < count; ++i) v.push_back(str_vec());
-    return v;
-  }
-  std::vector<std::uint32_t> u32_vec() {
-    const std::uint32_t count = u32();
-    std::vector<std::uint32_t> v;
-    for (std::uint32_t i = 0; ok_ && i < count; ++i) v.push_back(u32());
-    return v;
-  }
-  txn::Operation op() {
-    const std::string text = str();
-    if (!ok_) return {};
-    auto parsed = txn::parse_operation(text);
-    if (!parsed) {
-      fail("unparsable operation payload");
-      return {};
-    }
-    return std::move(parsed).value();
-  }
-  std::vector<txn::Operation> op_vec() {
-    const std::uint32_t count = u32();
-    std::vector<txn::Operation> v;
-    for (std::uint32_t i = 0; ok_ && i < count; ++i) v.push_back(op());
-    return v;
-  }
-
   void fail(const char* what) {
     if (ok_) {
       ok_ = false;
       error_ = what;
     }
   }
-  [[nodiscard]] const char* error() const noexcept { return error_; }
 
  private:
+  template <typename T>
+  void get(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      std::uint8_t byte = 0;
+      get(byte);
+      if (byte > 1) fail("boolean byte not 0/1");
+      v = byte == 1;
+    } else if constexpr (std::is_enum_v<T>) {
+      std::underlying_type_t<T> raw = 0;
+      get(raw);
+      v = static_cast<T>(raw);
+    } else if constexpr (std::is_unsigned_v<T>) {
+      if (!need(sizeof(T))) return;
+      std::uint64_t value = 0;
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        value |= static_cast<std::uint64_t>(
+                     static_cast<unsigned char>(data_[pos_ + i]))
+                 << (8 * i);
+      }
+      pos_ += sizeof(T);
+      v = static_cast<T>(value);
+    } else if constexpr (std::is_same_v<T, double>) {
+      std::uint64_t bits = 0;
+      get(bits);
+      v = std::bit_cast<double>(bits);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      std::uint32_t size = 0;
+      get(size);
+      if (!need(size)) return;
+      v.assign(data_.substr(pos_, size));
+      pos_ += size;
+    } else if constexpr (std::is_same_v<T, txn::Operation>) {
+      std::string text;
+      get(text);
+      if (!ok_) return;
+      auto parsed = txn::parse_operation(text);
+      if (parsed) {
+        v = std::move(parsed).value();
+      } else {
+        fail("unparsable operation payload");
+      }
+    } else if constexpr (IsVector<T>::value) {
+      std::uint32_t count = 0;
+      get(count);
+      for (std::uint32_t i = 0; ok_ && i < count; ++i) get(v.emplace_back());
+    } else {
+      fields(*this, v);
+    }
+  }
+
   bool need(std::size_t n) {
     if (!ok_) return false;
     if (data_.size() - pos_ < n) {
@@ -256,413 +298,36 @@ class Reader {
   const char* error_ = "payload malformed";
 };
 
-constexpr std::uint8_t kMaxAbortReason =
-    static_cast<std::uint8_t>(txn::AbortReason::kStaleCatalog);
-constexpr std::uint8_t kMaxTxnOutcome =
-    static_cast<std::uint8_t>(TxnOutcome::kAborted);
-// txn::TxnState tops out at kFailed = 4; transaction.hpp is above the wire
-// layer, so the bound is mirrored here (ClientReply carries the raw byte).
-constexpr std::uint8_t kMaxTxnState = 4;
-
-// --- per-payload encoders ---------------------------------------------------
-
-/// Writes a payload's tag and fields through `W` (Writer or Sizer).
-template <typename W>
-struct EncodeVisitor {
-  W& w;
-
-  void operator()(const ExecuteOperation& m) const {
-    w.u8(kTagExecuteOperation);
-    w.u64(m.txn);
-    w.u32(m.attempt);
-    w.u32(m.coordinator);
-    w.u64(m.epoch);
-    w.u32_vec(m.op_indices);
-    w.op_vec(m.ops);
-  }
-  void operator()(const OperationResult& m) const {
-    w.u8(kTagOperationResult);
-    w.u64(m.txn);
-    w.u32(m.attempt);
-    w.u32_vec(m.op_indices);
-    w.row_vec(m.rows);
-    w.boolean(m.lock_conflict);
-    w.boolean(m.failed);
-    w.boolean(m.deadlock);
-    w.u8(static_cast<std::uint8_t>(m.reason));
-    w.str(m.error);
-  }
-  void operator()(const UndoOperation& m) const {
-    w.u8(kTagUndoOperation);
-    w.u64(m.txn);
-    w.u32(m.op_index);
-    w.u32(m.attempt);
-  }
-  void operator()(const CommitRequest& m) const {
-    w.u8(kTagCommitRequest);
-    w.u64(m.txn);
-  }
-  void operator()(const CommitAck& m) const {
-    w.u8(kTagCommitAck);
-    w.u64(m.txn);
-    w.boolean(m.ok);
-  }
-  void operator()(const AbortRequest& m) const {
-    w.u8(kTagAbortRequest);
-    w.u64(m.txn);
-  }
-  void operator()(const AbortAck& m) const {
-    w.u8(kTagAbortAck);
-    w.u64(m.txn);
-    w.boolean(m.ok);
-  }
-  void operator()(const FailNotice& m) const {
-    w.u8(kTagFailNotice);
-    w.u64(m.txn);
-  }
-  void operator()(const WfgRequest& m) const {
-    w.u8(kTagWfgRequest);
-    w.u64(m.probe);
-    w.u32(m.requester);
-  }
-  void operator()(const WfgReply& m) const {
-    w.u8(kTagWfgReply);
-    w.u64(m.probe);
-    w.u32(static_cast<std::uint32_t>(m.edges.size()));
-    for (const wfg::Edge& edge : m.edges) {
-      w.u64(edge.waiter);
-      w.u64(edge.holder);
-    }
-  }
-  void operator()(const VictimAbort& m) const {
-    w.u8(kTagVictimAbort);
-    w.u64(m.txn);
-  }
-  void operator()(const WakeTxn& m) const {
-    w.u8(kTagWakeTxn);
-    w.u64(m.txn);
-  }
-  void operator()(const TxnStatusRequest& m) const {
-    w.u8(kTagTxnStatusRequest);
-    w.u64(m.txn);
-    w.u32(m.requester);
-  }
-  void operator()(const TxnStatusReply& m) const {
-    w.u8(kTagTxnStatusReply);
-    w.u64(m.txn);
-    w.u8(static_cast<std::uint8_t>(m.outcome));
-  }
-  void operator()(const SnapshotReadRequest& m) const {
-    w.u8(kTagSnapshotReadRequest);
-    w.u64(m.txn);
-    w.u32(m.coordinator);
-    w.u64(m.epoch);
-    w.u32_vec(m.op_indices);
-    w.op_vec(m.ops);
-  }
-  void operator()(const SnapshotReadReply& m) const {
-    w.u8(kTagSnapshotReadReply);
-    w.u64(m.txn);
-    w.boolean(m.ok);
-    w.u8(static_cast<std::uint8_t>(m.reason));
-    w.str(m.error);
-    w.u32_vec(m.op_indices);
-    w.row_vec(m.rows);
-  }
-  void operator()(const Hello& m) const {
-    w.u8(kTagHello);
-    w.u32(m.id);
-    w.u32(m.protocol);
-  }
-  void operator()(const ClientSubmit& m) const {
-    w.u8(kTagClientSubmit);
-    w.u64(m.seq);
-    w.op_vec(m.ops);
-  }
-  void operator()(const ClientReply& m) const {
-    w.u8(kTagClientReply);
-    w.u64(m.seq);
-    w.boolean(m.accepted);
-    w.u64(m.txn);
-    w.u8(m.state);
-    w.u8(m.reason);
-    w.boolean(m.deadlock_victim);
-    w.u32(m.wait_episodes);
-    w.f64(m.response_ms);
-    w.str(m.detail);
-    w.row_vec(m.rows);
-  }
-  void operator()(const RecoveryPullRequest& m) const {
-    w.u8(kTagRecoveryPullRequest);
-    w.str(m.doc);
-    w.u32(m.requester);
-  }
-  void operator()(const RecoveryPullReply& m) const {
-    w.u8(kTagRecoveryPullReply);
-    w.str(m.doc);
-    w.boolean(m.ok);
-    w.u64(m.version);
-    w.str(m.snapshot);
-    w.str(m.log);
-  }
-  void operator()(const CatalogUpdate& m) const {
-    w.u8(kTagCatalogUpdate);
-    w.u64(m.epoch);
-    w.str(m.catalog);
-    w.u32(m.admin);
-  }
-  void operator()(const CatalogAck& m) const {
-    w.u8(kTagCatalogAck);
-    w.u64(m.epoch);
-    w.u32(m.site);
-  }
-  void operator()(const JoinRequest& m) const {
-    w.u8(kTagJoinRequest);
-    w.u32(m.site);
-    w.str(m.address);
-  }
-  void operator()(const JoinReply& m) const {
-    w.u8(kTagJoinReply);
-    w.boolean(m.ok);
-    w.u64(m.epoch);
-    w.str(m.catalog);
-    w.str(m.error);
-  }
-  void operator()(const MigrateDoc& m) const {
-    w.u8(kTagMigrateDoc);
-    w.str(m.doc);
-    w.u64(m.epoch);
-    w.u64(m.version);
-    w.str(m.snapshot);
-    w.str(m.log);
-  }
-  void operator()(const MigrateAck& m) const {
-    w.u8(kTagMigrateAck);
-    w.str(m.doc);
-    w.u32(m.site);
-    w.boolean(m.ok);
-    w.u64(m.version);
-  }
-  void operator()(const DropDoc& m) const {
-    w.u8(kTagDropDoc);
-    w.str(m.doc);
-    w.u64(m.epoch);
-  }
-};
-
-// --- per-payload decoders ---------------------------------------------------
-
-Payload decode_payload(std::uint8_t tag, Reader& r) {
-  switch (tag) {
-    case kTagExecuteOperation: {
-      ExecuteOperation m;
-      m.txn = r.u64();
-      m.attempt = r.u32();
-      m.coordinator = r.u32();
-      m.epoch = r.u64();
-      m.op_indices = r.u32_vec();
-      m.ops = r.op_vec();
-      if (m.ops.size() != m.op_indices.size()) {
-        r.fail("slice indices and operations differ in count");
-      }
-      return m;
-    }
-    case kTagOperationResult: {
-      OperationResult m;
-      m.txn = r.u64();
-      m.attempt = r.u32();
-      m.op_indices = r.u32_vec();
-      m.rows = r.row_vec();
-      if (m.rows.size() != m.op_indices.size()) {
-        r.fail("slice indices and rows differ in count");
-      }
-      m.lock_conflict = r.boolean();
-      m.failed = r.boolean();
-      m.deadlock = r.boolean();
-      m.reason = static_cast<txn::AbortReason>(
-          r.enum8(kMaxAbortReason, "abort reason out of range"));
-      m.error = r.str();
-      return m;
-    }
-    case kTagUndoOperation: {
-      UndoOperation m;
-      m.txn = r.u64();
-      m.op_index = r.u32();
-      m.attempt = r.u32();
-      return m;
-    }
-    case kTagCommitRequest: return CommitRequest{r.u64()};
-    case kTagCommitAck: {
-      CommitAck m;
-      m.txn = r.u64();
-      m.ok = r.boolean();
-      return m;
-    }
-    case kTagAbortRequest: return AbortRequest{r.u64()};
-    case kTagAbortAck: {
-      AbortAck m;
-      m.txn = r.u64();
-      m.ok = r.boolean();
-      return m;
-    }
-    case kTagFailNotice: return FailNotice{r.u64()};
-    case kTagWfgRequest: {
-      WfgRequest m;
-      m.probe = r.u64();
-      m.requester = r.u32();
-      return m;
-    }
-    case kTagWfgReply: {
-      WfgReply m;
-      m.probe = r.u64();
-      const std::uint32_t count = r.u32();
-      for (std::uint32_t i = 0; r.ok() && i < count; ++i) {
-        wfg::Edge edge;
-        edge.waiter = r.u64();
-        edge.holder = r.u64();
-        m.edges.push_back(edge);
-      }
-      return m;
-    }
-    case kTagVictimAbort: return VictimAbort{r.u64()};
-    case kTagWakeTxn: return WakeTxn{r.u64()};
-    case kTagTxnStatusRequest: {
-      TxnStatusRequest m;
-      m.txn = r.u64();
-      m.requester = r.u32();
-      return m;
-    }
-    case kTagTxnStatusReply: {
-      TxnStatusReply m;
-      m.txn = r.u64();
-      m.outcome = static_cast<TxnOutcome>(
-          r.enum8(kMaxTxnOutcome, "txn outcome out of range"));
-      return m;
-    }
-    case kTagSnapshotReadRequest: {
-      SnapshotReadRequest m;
-      m.txn = r.u64();
-      m.coordinator = r.u32();
-      m.epoch = r.u64();
-      m.op_indices = r.u32_vec();
-      m.ops = r.op_vec();
-      return m;
-    }
-    case kTagSnapshotReadReply: {
-      SnapshotReadReply m;
-      m.txn = r.u64();
-      m.ok = r.boolean();
-      m.reason = static_cast<txn::AbortReason>(
-          r.enum8(kMaxAbortReason, "abort reason out of range"));
-      m.error = r.str();
-      m.op_indices = r.u32_vec();
-      m.rows = r.row_vec();
-      return m;
-    }
-    case kTagHello: {
-      Hello m;
-      m.id = r.u32();
-      m.protocol = r.u32();
-      return m;
-    }
-    case kTagClientSubmit: {
-      ClientSubmit m;
-      m.seq = r.u64();
-      m.ops = r.op_vec();
-      return m;
-    }
-    case kTagClientReply: {
-      ClientReply m;
-      m.seq = r.u64();
-      m.accepted = r.boolean();
-      m.txn = r.u64();
-      m.state = r.enum8(kMaxTxnState, "txn state out of range");
-      m.reason = r.enum8(kMaxAbortReason, "abort reason out of range");
-      m.deadlock_victim = r.boolean();
-      m.wait_episodes = r.u32();
-      m.response_ms = r.f64();
-      m.detail = r.str();
-      m.rows = r.row_vec();
-      return m;
-    }
-    case kTagRecoveryPullRequest: {
-      RecoveryPullRequest m;
-      m.doc = r.str();
-      m.requester = r.u32();
-      return m;
-    }
-    case kTagRecoveryPullReply: {
-      RecoveryPullReply m;
-      m.doc = r.str();
-      m.ok = r.boolean();
-      m.version = r.u64();
-      m.snapshot = r.str();
-      m.log = r.str();
-      return m;
-    }
-    case kTagCatalogUpdate: {
-      CatalogUpdate m;
-      m.epoch = r.u64();
-      m.catalog = r.str();
-      m.admin = r.u32();
-      return m;
-    }
-    case kTagCatalogAck: {
-      CatalogAck m;
-      m.epoch = r.u64();
-      m.site = r.u32();
-      return m;
-    }
-    case kTagJoinRequest: {
-      JoinRequest m;
-      m.site = r.u32();
-      m.address = r.str();
-      return m;
-    }
-    case kTagJoinReply: {
-      JoinReply m;
-      m.ok = r.boolean();
-      m.epoch = r.u64();
-      m.catalog = r.str();
-      m.error = r.str();
-      return m;
-    }
-    case kTagMigrateDoc: {
-      MigrateDoc m;
-      m.doc = r.str();
-      m.epoch = r.u64();
-      m.version = r.u64();
-      m.snapshot = r.str();
-      m.log = r.str();
-      return m;
-    }
-    case kTagMigrateAck: {
-      MigrateAck m;
-      m.doc = r.str();
-      m.site = r.u32();
-      m.ok = r.boolean();
-      m.version = r.u64();
-      return m;
-    }
-    case kTagDropDoc: {
-      DropDoc m;
-      m.doc = r.str();
-      m.epoch = r.u64();
-      return m;
-    }
-    default:
-      r.fail("unknown payload tag");
-      return WakeTxn{};
-  }
+/// Writes the payload's tag — its variant position plus one — and fields.
+template <typename Out>
+void put_payload(Writer<Out>& w, const Payload& payload) {
+  w(static_cast<std::uint8_t>(payload.index() + 1));
+  std::visit([&w](const auto& m) { fields(w, m); }, payload);
 }
+
+/// Decoders by variant position, generated from Payload: entry I makes
+/// alternative I the payload and reads its fields into it.
+using Decoder = void (*)(Reader&, Payload&);
+template <std::size_t... I>
+constexpr std::array<Decoder, sizeof...(I)> decoders(
+    std::index_sequence<I...>) {
+  return {[](Reader& r, Payload& payload) {
+    fields(r, payload.emplace<I>());
+  }...};
+}
+constexpr auto kDecoders =
+    decoders(std::make_index_sequence<kPayloadTagCount>{});
 
 Result<Message> decode_body(std::string_view body) {
   Reader r(body);
   Message message;
-  message.from = r.u32();
-  message.to = r.u32();
-  const std::uint8_t tag = r.u8();
-  message.payload = decode_payload(tag, r);
+  std::uint8_t tag = 0;
+  r(message.from, message.to, tag);
+  if (tag == 0 || tag > kDecoders.size()) {
+    r.fail("unknown payload tag");
+  } else {
+    kDecoders[tag - 1](r, message.payload);
+  }
   if (!r.ok()) {
     return Status(Code::kInvalidArgument,
                   std::string("bad frame: ") + r.error());
@@ -673,34 +338,18 @@ Result<Message> decode_body(std::string_view body) {
   return message;
 }
 
-void append_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>(static_cast<std::uint8_t>(v >> (8 * i))));
-  }
-}
+/// The fixed frame header in front of every body.
+struct Header {
+  std::uint32_t magic = 0;
+  std::uint32_t length = 0;
+  std::uint64_t checksum = 0;
+};
 
-void append_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>(static_cast<std::uint8_t>(v >> (8 * i))));
-  }
-}
-
-std::uint32_t read_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t read_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  }
-  return v;
+Header read_header(std::string_view frame) {
+  Header header;
+  Reader(frame.substr(0, kHeaderBytes))(header.magic, header.length,
+                                         header.checksum);
+  return header;
 }
 
 }  // namespace
@@ -708,20 +357,15 @@ std::uint64_t read_u64(const char* p) {
 void encode(const Message& message, std::string& out) {
   const std::size_t header_at = out.size();
   out.reserve(out.size() + kHeaderBytes + 64);
-  append_u32(out, kMagic);
-  append_u32(out, 0);  // length backpatched below
-  append_u64(out, 0);  // checksum backpatched below
-  const std::size_t body_at = out.size();
   Writer w(out);
-  w.u32(message.from);
-  w.u32(message.to);
-  std::visit(EncodeVisitor<Writer>{w}, message.payload);
-  const std::size_t body_len = out.size() - body_at;
-  const std::uint64_t checksum =
-      util::fnv1a64(std::string_view(out).substr(body_at, body_len));
+  // Length and checksum are backpatched once the body is written.
+  w(kMagic, std::uint32_t{0}, std::uint64_t{0}, message.from, message.to);
+  put_payload(w, message.payload);
+  const std::string_view body =
+      std::string_view(out).substr(header_at + kHeaderBytes);
   std::string patch;
-  append_u32(patch, static_cast<std::uint32_t>(body_len));
-  append_u64(patch, checksum);
+  Writer patch_writer(patch);
+  patch_writer(static_cast<std::uint32_t>(body.size()), util::fnv1a64(body));
   out.replace(header_at + 4, patch.size(), patch);
 }
 
@@ -735,31 +379,31 @@ Result<Message> decode(std::string_view frame) {
   if (frame.size() < kHeaderBytes) {
     return Status(Code::kInvalidArgument, "bad frame: truncated header");
   }
-  if (read_u32(frame.data()) != kMagic) {
+  const Header header = read_header(frame);
+  if (header.magic != kMagic) {
     return Status(Code::kInvalidArgument, "bad frame: magic mismatch");
   }
-  const std::uint32_t length = read_u32(frame.data() + 4);
-  if (length > kMaxFrameBytes) {
+  if (header.length > kMaxFrameBytes) {
     return Status(Code::kInvalidArgument, "bad frame: length out of bounds");
   }
-  if (frame.size() != kHeaderBytes + length) {
+  if (frame.size() != kHeaderBytes + header.length) {
     return Status(Code::kInvalidArgument,
-                  frame.size() < kHeaderBytes + length
+                  frame.size() < kHeaderBytes + header.length
                       ? "bad frame: truncated body"
                       : "bad frame: trailing bytes");
   }
-  const std::uint64_t checksum = read_u64(frame.data() + 8);
-  const std::string_view body = frame.substr(kHeaderBytes, length);
-  if (util::fnv1a64(body) != checksum) {
+  const std::string_view body = frame.substr(kHeaderBytes);
+  if (util::fnv1a64(body) != header.checksum) {
     return Status(Code::kInternal, "bad frame: checksum mismatch");
   }
   return decode_body(body);
 }
 
 std::size_t encoded_payload_size(const Payload& payload) {
-  Sizer sizer;
-  std::visit(EncodeVisitor<Sizer>{sizer}, payload);
-  return kHeaderBytes + 8 + sizer.bytes();  // header, from + to, payload
+  ByteCount count;
+  Sizer sizer(count);
+  put_payload(sizer, payload);
+  return kHeaderBytes + 8 + count.size;  // header, from + to, payload
 }
 
 void FrameReader::feed(std::string_view bytes) {
@@ -778,11 +422,12 @@ Result<std::optional<Message>> FrameReader::next() {
   const std::string_view pending =
       std::string_view(buffer_).substr(offset_);
   if (pending.size() < kHeaderBytes) return std::optional<Message>{};
-  if (read_u32(pending.data()) != kMagic) {
+  const Header header = read_header(pending);
+  if (header.magic != kMagic) {
     poisoned_ = true;
     return Status(Code::kInternal, "bad frame: magic mismatch");
   }
-  const std::uint32_t length = read_u32(pending.data() + 4);
+  const std::uint32_t length = header.length;
   if (length > kMaxFrameBytes) {
     poisoned_ = true;
     return Status(Code::kInternal, "bad frame: length out of bounds");

@@ -9,14 +9,27 @@
 //   body:
 //     u32 from | u32 to | u8 tag | payload
 //
-// `tag` is the payload's position in net::Payload plus one; unknown tags,
-// truncated bodies, trailing bytes and checksum mismatches all reject the
-// frame. Strings are u32-length-prefixed; vectors are u32-count-prefixed;
-// bools are exactly 0 or 1 (anything else rejects — keeps decode(encode(x))
-// re-encodable byte-exactly). Typed operations (txn::Operation) travel as
-// their canonical text — the same round-trippable form the WAL logs — and
-// are re-parsed on decode, so a frame that decodes always carries a
-// well-formed operation and node ids still never cross the wire.
+// `tag` is the payload's position in net::Payload plus one, computed from
+// the variant rather than written down anywhere, so reordering Payload
+// changes the wire (CodecTest.CorpusFramesMatchRecordedBytes pins the
+// bytes). Unknown tags, truncated bodies, trailing bytes and checksum
+// mismatches all reject the frame. Strings are u32-length-prefixed;
+// vectors are u32-count-prefixed; bools are exactly 0 or 1 (anything else
+// rejects — keeps decode(encode(x)) re-encodable byte-exactly). Typed
+// operations (txn::Operation) travel as their canonical text — the same
+// round-trippable form the WAL logs — and are re-parsed on decode, so a
+// frame that decodes always carries a well-formed operation and node ids
+// still never cross the wire.
+//
+// Each payload's layout is written once, as a field list in codec.cpp
+// (`fields(a, m)`): the encoder, the size counter behind payload_wire_size
+// and the decoder all walk that list. Validation lives in two places: the
+// decoder's field-type rules above, and the list's own `a.check(...)`
+// calls for what a type cannot say — parallel vectors agreeing in length,
+// enum bytes within range. Adding a message means: its struct, appended to
+// Payload (message.hpp); its name, appended to kPayloadNames next to it;
+// its field list; a codec_corpus() exemplar in net_test, with the golden
+// frame hashes re-recorded and kProtocolVersion bumped on purpose.
 //
 // Decoding a TCP byte stream goes through FrameReader: feed() appended
 // bytes, next() yields complete messages. A corrupt frame poisons the

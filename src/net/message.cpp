@@ -4,55 +4,6 @@
 
 namespace dtx::net {
 
-namespace {
-
-struct NameVisitor {
-  const char* operator()(const ExecuteOperation&) const { return "execute"; }
-  const char* operator()(const OperationResult&) const { return "result"; }
-  const char* operator()(const UndoOperation&) const { return "undo-op"; }
-  const char* operator()(const CommitRequest&) const { return "commit"; }
-  const char* operator()(const CommitAck&) const { return "commit-ack"; }
-  const char* operator()(const AbortRequest&) const { return "abort"; }
-  const char* operator()(const AbortAck&) const { return "abort-ack"; }
-  const char* operator()(const FailNotice&) const { return "fail"; }
-  const char* operator()(const WfgRequest&) const { return "wfg-request"; }
-  const char* operator()(const WfgReply&) const { return "wfg-reply"; }
-  const char* operator()(const VictimAbort&) const { return "victim-abort"; }
-  const char* operator()(const WakeTxn&) const { return "wake"; }
-  const char* operator()(const TxnStatusRequest&) const {
-    return "txn-status-request";
-  }
-  const char* operator()(const TxnStatusReply&) const {
-    return "txn-status-reply";
-  }
-  const char* operator()(const SnapshotReadRequest&) const {
-    return "snapshot-read";
-  }
-  const char* operator()(const SnapshotReadReply&) const {
-    return "snapshot-reply";
-  }
-  const char* operator()(const Hello&) const { return "hello"; }
-  const char* operator()(const ClientSubmit&) const { return "client-submit"; }
-  const char* operator()(const ClientReply&) const { return "client-reply"; }
-  const char* operator()(const RecoveryPullRequest&) const {
-    return "recovery-pull";
-  }
-  const char* operator()(const RecoveryPullReply&) const {
-    return "recovery-pull-reply";
-  }
-  const char* operator()(const CatalogUpdate&) const {
-    return "catalog-update";
-  }
-  const char* operator()(const CatalogAck&) const { return "catalog-ack"; }
-  const char* operator()(const JoinRequest&) const { return "join-request"; }
-  const char* operator()(const JoinReply&) const { return "join-reply"; }
-  const char* operator()(const MigrateDoc&) const { return "migrate-doc"; }
-  const char* operator()(const MigrateAck&) const { return "migrate-ack"; }
-  const char* operator()(const DropDoc&) const { return "drop-doc"; }
-};
-
-}  // namespace
-
 const char* txn_outcome_name(TxnOutcome outcome) noexcept {
   switch (outcome) {
     case TxnOutcome::kUnknown: return "unknown";
@@ -64,7 +15,7 @@ const char* txn_outcome_name(TxnOutcome outcome) noexcept {
 }
 
 const char* payload_name(const Payload& payload) noexcept {
-  return std::visit(NameVisitor{}, payload);
+  return kPayloadNames[payload.index()];
 }
 
 std::size_t payload_wire_size(const Payload& payload) noexcept {

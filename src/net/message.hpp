@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <variant>
 #include <vector>
@@ -308,6 +309,24 @@ using Payload =
                  Hello, ClientSubmit, ClientReply, RecoveryPullRequest,
                  RecoveryPullReply, CatalogUpdate, CatalogAck, JoinRequest,
                  JoinReply, MigrateDoc, MigrateAck, DropDoc>;
+
+/// Each Payload alternative's name, in variant order: what payload_name
+/// answers for logs and network statistics (dtxbench keys its per-layer
+/// message metrics by these strings, so they stay stable).
+inline constexpr const char* kPayloadNames[] = {
+    "execute",        "result",         "undo-op",
+    "commit",         "commit-ack",     "abort",
+    "abort-ack",      "fail",           "wfg-request",
+    "wfg-reply",      "victim-abort",   "wake",
+    "txn-status-request", "txn-status-reply", "snapshot-read",
+    "snapshot-reply", "hello",          "client-submit",
+    "client-reply",   "recovery-pull",  "recovery-pull-reply",
+    "catalog-update", "catalog-ack",    "join-request",
+    "join-reply",     "migrate-doc",    "migrate-ack",
+    "drop-doc",
+};
+static_assert(std::size(kPayloadNames) == std::variant_size_v<Payload>,
+              "every Payload alternative needs a name");
 
 struct Message {
   SiteId from = 0;

@@ -790,6 +790,45 @@ TEST(CodecTest, SliceItemCountPastTheFrameRejects) {
   EXPECT_FALSE(codec::decode(with_u32(reply, kRowCount, 1)).is_ok());
 }
 
+TEST(CodecTest, SnapshotReadRequestWithUnequalCountsRejects) {
+  SnapshotReadRequest request;
+  request.txn = 16;
+  request.op_indices = {0, 2};
+  request.ops = {txn::parse_operation("query d1 /a/b").value()};
+  const auto decoded = codec::decode(codec::encode(Message{0, 1, request}));
+  EXPECT_FALSE(decoded.is_ok());
+}
+
+TEST(CodecTest, SnapshotReadReplyWithMissingRowsRejects) {
+  // The coordinator reads rows[k] for every k < op_indices.size() of an ok
+  // reply, so a short one must never get past the codec.
+  SnapshotReadReply reply;
+  reply.txn = 16;
+  reply.ok = true;
+  reply.op_indices = {0, 2};
+  reply.rows = {{"r1"}};
+  const auto decoded = codec::decode(codec::encode(Message{1, 0, reply}));
+  EXPECT_FALSE(decoded.is_ok());
+}
+
+TEST(CodecTest, SnapshotReadFailureReplyWithoutRowsDecodes) {
+  // The membership fences of serve_snapshot_read answer with the request's
+  // indices and no rows.
+  SnapshotReadReply reply;
+  reply.txn = 16;
+  reply.reason = txn::AbortReason::kStaleCatalog;
+  reply.error = "stale catalog";
+  reply.op_indices = {0, 2};
+  const std::string frame = codec::encode(Message{1, 0, reply});
+  const auto decoded = codec::decode(frame);
+  ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
+  const auto& got = std::get<SnapshotReadReply>(decoded.value().payload);
+  EXPECT_FALSE(got.ok);
+  EXPECT_EQ(got.op_indices, reply.op_indices);
+  EXPECT_TRUE(got.rows.empty());
+  EXPECT_EQ(codec::encode(decoded.value()), frame);
+}
+
 TEST(CodecTest, TruncationAtEveryLengthRejects) {
   OperationResult result;
   result.txn = 5;
