@@ -22,11 +22,15 @@ class DeadlockDetector {
  public:
   using Clock = std::chrono::steady_clock;
 
+  /// The reply timeout every site's detector uses.
+  static constexpr std::chrono::microseconds kDefaultReplyTimeout{200'000};
+
   /// `period`: how often a probe starts; `reply_timeout`: how long to wait
   /// for all graphs before resolving with what arrived (a slow site must not
   /// wedge detection).
-  DeadlockDetector(std::chrono::microseconds period,
-                   std::chrono::microseconds reply_timeout);
+  explicit DeadlockDetector(
+      std::chrono::microseconds period,
+      std::chrono::microseconds reply_timeout = kDefaultReplyTimeout);
 
   /// True when a new probe should start now (period elapsed, none active).
   [[nodiscard]] bool should_start(Clock::time_point now) const;

@@ -69,8 +69,6 @@ struct SiteOptions {
   /// participant workers. 0 disables caching — every execution compiles a
   /// private plan, the parse-per-execute baseline of bench/abl_plan_cache.
   std::size_t plan_cache_capacity = 1024;
-  /// Independently-locked LRU shards of the plan cache.
-  std::size_t plan_cache_shards = 8;
   /// Redo-log checkpoint policy (dtx/wal.hpp): compact a document's log
   /// into a fresh snapshot after this many logged update operations. 1 ≈
   /// the historical snapshot-per-commit durability (the O(document) bench
@@ -81,8 +79,6 @@ struct SiteOptions {
   std::size_t checkpoint_log_bytes = 1 << 20;
   /// Distributed deadlock detection period (Alg. 4 cadence).
   std::chrono::microseconds detect_period{20'000};
-  /// Probe reply collection timeout.
-  std::chrono::microseconds detect_reply_timeout{200'000};
   /// Fallback retry interval for waiting transactions (wake messages are
   /// the fast path; this is the lost-wakeup backstop).
   std::chrono::microseconds retry_interval{50'000};
@@ -116,9 +112,6 @@ struct SiteOptions {
   /// memory for advancing cached snapshot trees (0 = unlimited). Targets
   /// that age out fall back to wal::materialize_at.
   std::size_t snapshot_chain_depth = 32;
-  /// Byte bound on the total delta text of one document's chain
-  /// (0 = unlimited).
-  std::size_t snapshot_chain_bytes = 1 << 22;
   /// Mailbox / queue poll granularity.
   std::chrono::microseconds poll_interval{2'000};
   /// Placement policy + replication factor this site uses when it *drives*
@@ -189,7 +182,7 @@ struct SiteContext {
         mailbox(net.register_site(opts.id)),
         catalog(cat),
         store(backing_store),
-        detector(opts.detect_period, opts.detect_reply_timeout) {
+        detector(opts.detect_period) {
     rebuild_engine();
   }
 
@@ -209,16 +202,14 @@ struct SiteContext {
   /// SnapshotStore is built first: DataManager::load_all registers every
   /// recovered document into it and persist publishes committed deltas.
   void rebuild_engine() {
-    snaps_ = std::make_unique<SnapshotStore>(
-        store, options.snapshot_reads, options.snapshot_chain_depth,
-        options.snapshot_chain_bytes);
+    snaps_ = std::make_unique<SnapshotStore>(store, options.snapshot_reads,
+                                             options.snapshot_chain_depth);
     data_ = std::make_unique<DataManager>(store, options.checkpoint_interval,
                                           options.checkpoint_log_bytes,
                                           snaps_.get());
     locks_ = std::make_unique<LockManager>(options.protocol, *data_,
                                            options.lock_shards);
-    plans_ = std::make_unique<query::PlanCache>(options.plan_cache_capacity,
-                                                options.plan_cache_shards);
+    plans_ = std::make_unique<query::PlanCache>(options.plan_cache_capacity);
   }
 
   [[nodiscard]] DataManager& data() noexcept { return *data_; }

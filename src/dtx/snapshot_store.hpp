@@ -102,11 +102,14 @@ class SnapshotStore {
     std::vector<std::string> ops;
   };
 
+  /// The byte bound on one document's chain that every site uses.
+  static constexpr std::size_t kChainBytes = 1 << 22;
+
   /// `chain_depth` / `chain_bytes` bound the per-document delta chain
   /// (0 = unbounded). When `enabled` is false the store is inert: publish
   /// is a no-op and the locked baseline pays zero chain maintenance.
   SnapshotStore(storage::StorageBackend& store, bool enabled,
-                std::size_t chain_depth, std::size_t chain_bytes);
+                std::size_t chain_depth, std::size_t chain_bytes = kChainBytes);
 
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 

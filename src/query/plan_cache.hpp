@@ -50,13 +50,17 @@ struct PlanCacheStats {
 
 class PlanCache {
  public:
+  /// The shard count every site's plan cache uses.
+  static constexpr std::size_t kDefaultShards = 8;
+
   /// `capacity` sizes the cache (0 = caching off); `shards`
   /// independently-locked LRU segments (clamped to capacity). The bound is
   /// enforced per shard at ceil(capacity / shards), so a skewed key
   /// distribution may hold up to shards-1 plans above `capacity` in total
   /// while a hot shard evicts earlier — the usual sharded-LRU tradeoff for
   /// not taking a global lock.
-  explicit PlanCache(std::size_t capacity, std::size_t shards = 8);
+  explicit PlanCache(std::size_t capacity,
+                     std::size_t shards = kDefaultShards);
 
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
