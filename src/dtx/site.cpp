@@ -818,13 +818,16 @@ void Site::handle_join_request(net::SiteId from,
   pending.catalog = text;
   pending.deadline = Clock::now() + 4 * ctx_.options.response_timeout;
   pending.next_resend = Clock::now() + ctx_.options.response_timeout;
+  // This site drains too, member or not: with nothing placed yet the old
+  // epoch has no members, and the admission would wait on nobody.
   pending.waiting.insert(view->members.begin(), view->members.end());
+  pending.waiting.insert(ctx_.options.id);
   pending_join_ = std::move(pending);
   if (!request.address.empty()) {
     ctx_.network.add_peer(request.site, request.address);
   }
-  // Broadcast to every OLD member, this site included (the self-send keeps
-  // the install path uniform). The joiner is told via the JoinReply once
+  // Broadcast to every OLD member and this site (the self-send keeps the
+  // install path uniform). The joiner is told via the JoinReply once
   // the old epoch drained everywhere.
   for (SiteId member : pending_join_->waiting) {
     ctx_.send(member, net::CatalogUpdate{next.epoch, text, ctx_.options.id});

@@ -461,6 +461,26 @@ TEST_F(MembershipTest, JoinWaitsForEveryMemberToDrain) {
   cluster.stop();
 }
 
+TEST_F(MembershipTest, JoinIntoClusterWithNoDocuments) {
+  // Members come from document placement, so before any load the seed's
+  // epoch has none; the join must still complete instead of waiting for
+  // acks that nobody is asked for.
+  ClusterOptions options = membership_options(3);
+  options.site.response_timeout = std::chrono::microseconds(100'000);
+  Cluster cluster(options);
+  ASSERT_TRUE(cluster.start().is_ok());
+  const std::uint64_t before = cluster.catalog().view()->epoch;
+  auto added = cluster.add_site();
+  ASSERT_TRUE(added.is_ok()) << added.status().to_string();
+  EXPECT_EQ(added.value(), 3u);
+  const Catalog::View view = cluster.catalog().view();
+  EXPECT_GT(view->epoch, before);
+  EXPECT_TRUE(view->is_member(added.value()));
+  EXPECT_EQ(cluster.site(added.value()).stats().catalog_epoch, view->epoch);
+  EXPECT_EQ(cluster.site(0).stats().catalog_epoch, view->epoch);
+  cluster.stop();
+}
+
 TEST(DecommissionTest, DrainsOwnTransactionsBeforeReportingDone) {
   // The host stops a site the moment it reports decommissioned(); a commit
   // fan-out still running there would be cut short, and its participants
