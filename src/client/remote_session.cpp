@@ -1,8 +1,6 @@
 #include "client/remote_session.hpp"
 
-#include <netdb.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -11,6 +9,8 @@
 #include <cstring>
 #include <random>
 #include <utility>
+
+#include "net/tcp_network.hpp"
 
 namespace dtx::client {
 
@@ -29,52 +29,28 @@ net::SiteId random_client_id() {
   return net::kClientIdBase | (id & 0x7fff'ffffu);
 }
 
-/// Blocking connect to "host:port" (numeric or resolvable host).
+/// Blocking connect to "host:port" (see net::resolve_hostport).
 Result<int> dial(const std::string& address,
                  std::chrono::milliseconds timeout) {
-  const std::size_t colon = address.rfind(':');
-  if (colon == std::string::npos || colon + 1 == address.size()) {
-    return Status(Code::kInvalidArgument,
-                  "address must be host:port, got '" + address + "'");
-  }
-  const std::string host = address.substr(0, colon);
-  const std::string port = address.substr(colon + 1);
-
-  addrinfo hints{};
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* list = nullptr;
-  if (int rc = ::getaddrinfo(host.c_str(), port.c_str(), &hints, &list);
-      rc != 0) {
-    return Status(Code::kInvalidArgument,
-                  "cannot resolve '" + address + "': " + gai_strerror(rc));
-  }
-
-  int fd = -1;
-  std::string error = "no addresses";
-  for (addrinfo* ai = list; ai != nullptr; ai = ai->ai_next) {
-    fd = ::socket(ai->ai_family, ai->ai_socktype | SOCK_CLOEXEC,
-                  ai->ai_protocol);
-    if (fd < 0) {
-      error = std::strerror(errno);
-      continue;
-    }
-    timeval tv{};
-    tv.tv_sec = timeout.count() / 1000;
-    tv.tv_usec = static_cast<long>((timeout.count() % 1000) * 1000);
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
-    error = std::strerror(errno);
-    ::close(fd);
-    fd = -1;
-  }
-  ::freeaddrinfo(list);
+  const Result<sockaddr_in> addr = net::resolve_hostport(address);
+  if (!addr) return addr.status();
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
+    return Status(Code::kUnavailable,
+                  std::string("socket: ") + std::strerror(errno));
+  }
+  timeval tv{};
+  tv.tv_sec = timeout.count() / 1000;
+  tv.tv_usec = static_cast<long>((timeout.count() % 1000) * 1000);
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr.value()),
+                sizeof(sockaddr_in)) != 0) {
+    const std::string error = std::strerror(errno);
+    ::close(fd);
     return Status(Code::kUnavailable,
                   "cannot connect to " + address + ": " + error);
   }
-  int nodelay = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
+  net::set_nodelay(fd);
   return fd;
 }
 

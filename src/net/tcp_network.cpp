@@ -31,8 +31,9 @@ Status errno_status(const char* what) {
                 std::string(what) + ": " + std::strerror(errno));
 }
 
-/// "host:port" -> sockaddr_in (IPv4; `host` numeric or resolvable).
-Status parse_hostport(const std::string& address, sockaddr_in& out) {
+}  // namespace
+
+util::Result<sockaddr_in> resolve_hostport(const std::string& address) {
   const std::size_t colon = address.rfind(':');
   if (colon == std::string::npos || colon + 1 == address.size()) {
     return Status(Code::kInvalidArgument,
@@ -50,17 +51,16 @@ Status parse_hostport(const std::string& address, sockaddr_in& out) {
     return Status(Code::kInvalidArgument, "cannot resolve '" + address +
                                               "': " + ::gai_strerror(rc));
   }
+  sockaddr_in out{};
   std::memcpy(&out, found->ai_addr, sizeof(sockaddr_in));
   ::freeaddrinfo(found);
-  return Status::ok();
+  return out;
 }
 
 void set_nodelay(int fd) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
-
-}  // namespace
 
 /// One TCP connection, dialed or accepted. Owned by conns_ (keyed by fd);
 /// routed to by dialed_/accepted_ once bound to a peer.
@@ -109,16 +109,15 @@ Status TcpNetwork::start() {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
 
   if (!options_.listen.empty()) {
-    sockaddr_in addr{};
-    Status parsed = parse_hostport(options_.listen, addr);
-    if (!parsed.ok()) return parsed;
+    const util::Result<sockaddr_in> addr = resolve_hostport(options_.listen);
+    if (!addr) return addr.status();
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
                           0);
     if (listen_fd_ < 0) return errno_status("socket");
     const int one = 1;
     ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-               sizeof(addr)) != 0) {
+    if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr.value()),
+               sizeof(sockaddr_in)) != 0) {
       return errno_status("bind");
     }
     if (::listen(listen_fd_, 64) != 0) return errno_status("listen");
@@ -339,8 +338,8 @@ void TcpNetwork::dial_locked(SiteId peer) {
   dial.next_at = Clock::now() + dial.backoff;
   dial.backoff = std::min(dial.backoff * 2, options_.reconnect_max);
 
-  sockaddr_in addr{};
-  if (!parse_hostport(peers_.at(peer), addr).ok()) return;
+  const util::Result<sockaddr_in> addr = resolve_hostport(peers_.at(peer));
+  if (!addr) return;
   const int fd =
       ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) return;
@@ -348,7 +347,8 @@ void TcpNetwork::dial_locked(SiteId peer) {
   ++tcp_stats_.dials;
   if (dial.was_established) ++tcp_stats_.reconnects;
   const int rc =
-      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr.value()),
+                sizeof(sockaddr_in));
   if (rc != 0 && errno != EINPROGRESS) {
     ::close(fd);
     return;

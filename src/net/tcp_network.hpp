@@ -21,6 +21,8 @@
 // (codec poison) drops the connection.
 #pragma once
 
+#include <netinet/in.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -35,6 +37,15 @@
 #include "util/sync.hpp"
 
 namespace dtx::net {
+
+/// Resolves "host:port" (split at the last colon; IPv4, the host numeric or
+/// resolvable, the port numeric): the one parser of TcpNetwork's listen and
+/// peer addresses and client::RemoteSession's dials. kInvalidArgument when
+/// the address is malformed or does not resolve.
+util::Result<sockaddr_in> resolve_hostport(const std::string& address);
+
+/// Disables Nagle on a TCP socket: frames are small and latency-bound.
+void set_nodelay(int fd);
 
 struct TcpOptions {
   /// Listen address "host:port" (port 0 = kernel-assigned, see

@@ -16,6 +16,7 @@
 #include <thread>
 #include <variant>
 
+#include "client/remote_session.hpp"
 #include "net/codec.hpp"
 #include "net/tcp_network.hpp"
 #include "txn/operation.hpp"
@@ -321,6 +322,46 @@ TEST(TcpNetworkTest, LocalSendsBypassTheWire) {
   EXPECT_EQ(std::get<WakeTxn>(got->payload).txn, 33u);
   EXPECT_EQ(network.stats().messages_sent, 1u);
   EXPECT_GT(network.stats().bytes_sent, 0u);  // codec-sized accounting
+}
+
+// Both TCP endpoints resolve addresses through resolve_hostport: a bad
+// address is the caller's error, a refused connect the server's absence.
+TEST(TcpAddressTest, MalformedOrUnresolvableAddressIsInvalidArgument) {
+  // Numeric hosts only: nothing here may reach a resolver.
+  for (const char* address : {"127.0.0.1", "127.0.0.1:", "127.0.0.1:http"}) {
+    EXPECT_EQ(resolve_hostport(address).status().code(),
+              util::Code::kInvalidArgument)
+        << address;
+    client::RemoteSession session;
+    EXPECT_EQ(session.connect(address, 1000ms).code(),
+              util::Code::kInvalidArgument)
+        << address;
+  }
+  TcpOptions options;
+  options.listen = "no-port-here";
+  TcpNetwork network(0, options);
+  EXPECT_EQ(network.start().code(), util::Code::kInvalidArgument);
+}
+
+TEST(TcpAddressTest, RefusedConnectIsUnavailable) {
+  REQUIRE_LOOPBACK();
+  // A bound socket that never listens: its port refuses connections.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  const std::string address =
+      "127.0.0.1:" + std::to_string(ntohs(addr.sin_port));
+  const util::Result<sockaddr_in> resolved = resolve_hostport(address);
+  ASSERT_TRUE(resolved.is_ok()) << resolved.status().to_string();
+  EXPECT_EQ(resolved.value().sin_port, addr.sin_port);
+  client::RemoteSession session;
+  EXPECT_EQ(session.connect(address, 1000ms).code(), util::Code::kUnavailable);
+  ::close(fd);
 }
 
 }  // namespace
