@@ -153,12 +153,8 @@ void Coordinator::execute_slices(const TransactionPtr& txn) {
     ctx_.send(site, std::move(slice));
   }
 
-  const std::map<SiteId, net::OperationResult> replies =
-      await_responses(txn->id(), attempt, targets.size());
-  {
-    sync::MutexLock lock(ctx_.resp_mutex);
-    ctx_.responses.erase(txn->id());
-  }
+  std::map<SiteId, net::OperationResult> replies =
+      take_responses(txn->id(), attempt, targets.size());
   if (!ctx_.running.load()) return;
   // Every site that answered joins the transaction before anything else
   // happens, whatever it answered: what it executed is then consolidated by
@@ -174,22 +170,24 @@ void Coordinator::execute_slices(const TransactionPtr& txn) {
     return std::binary_search(done.begin(), done.end(), op_index);
   };
   // Adopt the prefix of operations that executed at every replica, with
-  // the rows of the lowest-id replica.
+  // the rows of each operation's rows source (every other replica of a
+  // query answered it with no rows).
   std::size_t stop = first;
   for (; stop < txn->op_count(); ++stop) {
-    const std::vector<SiteId>& sites = view->sites_of(txn->ops()[stop].doc);
+    const std::string& doc = txn->ops()[stop].doc;
+    const std::vector<SiteId>& sites = view->sites_of(doc);
     if (!std::all_of(sites.begin(), sites.end(),
                      [&](SiteId site) { return executed_at(site, stop); })) {
       break;
     }
     txn::OperationState& state = txn->state_of(stop);
     state.executed = true;
-    const SiteId source = *std::min_element(sites.begin(), sites.end());
-    const net::OperationResult& reply = replies.at(source);
+    net::OperationResult& reply =
+        replies.at(view->rows_source(doc, ctx_.options.id));
     const auto pos = std::lower_bound(reply.op_indices.begin(),
                                       reply.op_indices.end(), stop);
-    state.rows = reply.rows[static_cast<std::size_t>(
-        pos - reply.op_indices.begin())];
+    state.rows = std::move(reply.rows[static_cast<std::size_t>(
+        pos - reply.op_indices.begin())]);
   }
   if (stop == txn->op_count()) {
     requeue(txn);  // the next claim commits
@@ -285,8 +283,8 @@ void Coordinator::execute_snapshot(const TransactionPtr& txn) {
   // locks to release, no undo logs, no abort fan-out, no durable outcome
   // record needed (nothing a crash could leave half-applied).
   //
-  // Operations are grouped per serving site — the local site whenever it
-  // hosts the document, else the lowest-id replica — and each site
+  // Operations are grouped per serving site — each one's rows source
+  // (CatalogEpoch::rows_source), as on the locked path — and each site
   // evaluates its whole group against one consistent cut, so a
   // transaction's view is consistent per serving site (the per-replica
   // version semantics of dtx/wal.hpp; cross-site cuts are independent).
@@ -315,10 +313,8 @@ void Coordinator::execute_snapshot(const TransactionPtr& txn) {
       finish_transaction(txn, TxnState::kAborted);
       return;
     }
-    const bool local =
-        std::find(sites.begin(), sites.end(), ctx_.options.id) != sites.end();
     net::SnapshotReadRequest& request =
-        groups[local ? ctx_.options.id : sites.front()];
+        groups[view->rows_source(op.doc, ctx_.options.id)];
     request.txn = txn->id();
     request.coordinator = ctx_.options.id;
     request.epoch = view->epoch;
@@ -453,18 +449,22 @@ void Coordinator::hand_back_claim(const TransactionPtr& txn, bool park) {
   }
 }
 
-std::map<SiteId, net::OperationResult> Coordinator::await_responses(
+std::map<SiteId, net::OperationResult> Coordinator::take_responses(
     TxnId txn, std::uint32_t attempt, std::size_t expected) {
   const auto deadline = Clock::now() + ctx_.options.response_timeout;
   sync::MutexLock lock(ctx_.resp_mutex);
   for (;;) {
     const auto it = ctx_.responses.find(txn);
-    if (it == ctx_.responses.end() || it->second.attempt != attempt) {
-      return {};
-    }
-    if (it->second.replies.size() >= expected) return it->second.replies;
-    if (!ctx_.running.load() || Clock::now() >= deadline) {
-      return it->second.replies;  // partial (timeout / shutdown)
+    if (it == ctx_.responses.end()) return {};
+    SiteContext::ResponseSlot& slot = it->second;
+    const bool ours = slot.attempt == attempt;
+    // Partial replies on timeout or shutdown.
+    if (!ours || slot.replies.size() >= expected || !ctx_.running.load() ||
+        Clock::now() >= deadline) {
+      std::map<SiteId, net::OperationResult> replies;
+      if (ours) replies = std::move(slot.replies);
+      ctx_.responses.erase(it);
+      return replies;
     }
     ctx_.resp_cv.wait_until(ctx_.resp_mutex, deadline);
   }
@@ -548,15 +548,18 @@ void Coordinator::commit_transaction(const TransactionPtr& txn) {
     return;
   }
 
-  // Step 2 — the decision outlives this worker and this site.
+  // Step 2 — the decision outlives this worker and this site. The file
+  // write stays outside coord_mutex (submissions, wakes and status probes
+  // wait on it); the record is durable before the cache can answer a probe
+  // "committed" and before any CommitRequest leaves.
+  const util::Status logged = ctx_.append_commit_record(txn->id());
+  if (!logged) {
+    DTX_ERROR() << "txn " << txn->id()
+                << ": commit log append failed: " << logged.to_string();
+  }
   {
     sync::MutexLock lock(ctx_.coord_mutex);
     ctx_.record_outcome(txn->id(), /*committed=*/true);
-    const util::Status logged = ctx_.append_commit_record(txn->id());
-    if (!logged) {
-      DTX_ERROR() << "txn " << txn->id()
-                  << ": commit log append failed: " << logged.to_string();
-    }
   }
 
   // Step 3 — fan-out with resends.

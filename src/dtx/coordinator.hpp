@@ -81,8 +81,9 @@ class Coordinator {
   void hand_back_claim(const TransactionPtr& txn, bool park);
 
   /// Blocks until `expected` sites answered round `attempt` of `txn` or
-  /// the response timeout elapsed. Returns the replies collected.
-  std::map<SiteId, net::OperationResult> await_responses(
+  /// the response timeout elapsed, then drops the transaction's response
+  /// slot and moves out the replies it collected.
+  std::map<SiteId, net::OperationResult> take_responses(
       lock::TxnId txn, std::uint32_t attempt, std::size_t expected);
 
   /// Blocks for commit/abort acks from `expected`. Returns site -> ok.

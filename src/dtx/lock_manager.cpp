@@ -18,7 +18,8 @@ LockManager::LockManager(lock::ProtocolKind protocol, DataManager& data,
 
 OpOutcome LockManager::process_operation(TxnId txn, std::uint32_t op_index,
                                          const query::Plan& plan,
-                                         SiteId waiter_coordinator) {
+                                         SiteId waiter_coordinator,
+                                         bool want_rows) {
   OpOutcome outcome;
 
   // A fresh attempt supersedes any recorded wait state of this transaction.
@@ -95,7 +96,7 @@ OpOutcome LockManager::process_operation(TxnId txn, std::uint32_t op_index,
       return outcome;
     }
     record.did_update = true;
-  } else {
+  } else if (want_rows) {
     auto rows = data_.run_query(plan);
     if (!rows) {
       table_.rollback(txn, record.journal);

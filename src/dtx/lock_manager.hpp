@@ -101,11 +101,15 @@ class LockManager {
   /// Algorithm 3, driven by a compiled plan (the caller resolves the
   /// operation through the site PlanCache, so retries and wait-mode
   /// re-executions never re-parse). `waiter_coordinator` is the coordinator
-  /// site of the transaction (wake messages go there on conflict).
+  /// site of the transaction (wake messages go there on conflict). A query
+  /// takes its locks either way but is evaluated only when `want_rows` is
+  /// set (this site is its rows source, CatalogEpoch::rows_source);
+  /// otherwise it executes with no rows.
   /// Thread-safe; any number of scheduler workers may call it concurrently.
   OpOutcome process_operation(lock::TxnId txn, std::uint32_t op_index,
                               const query::Plan& plan,
-                              SiteId waiter_coordinator);
+                              SiteId waiter_coordinator,
+                              bool want_rows = true);
 
   /// Undoes the effects of every operation of `txn` from `first_op` on that
   /// executed here, newest first, and releases the locks they acquired

@@ -125,11 +125,14 @@ void Participant::handle_execute(const net::ExecuteOperation& request) {
   // Membership fence first, before any state is created for the
   // transaction: a request routed under a different catalog epoch — or one
   // targeting a replica this site is still importing — is rejected
-  // retryably, leaving nothing for the orphan sweep to clean up.
+  // retryably, leaving nothing for the orphan sweep to clean up. The view
+  // that passes the fence also names each query's rows source: it is the
+  // epoch the coordinator routed under, so both read one placement.
+  const Catalog::View view = ctx_.catalog.view();
   const auto importing = std::find_if(
       request.ops.begin(), request.ops.end(),
       [&](const txn::Operation& op) { return ctx_.is_importing(op.doc); });
-  if (request.epoch != ctx_.catalog.epoch() || importing != request.ops.end()) {
+  if (request.epoch != view->epoch || importing != request.ops.end()) {
     reply.failed = true;
     reply.reason = txn::AbortReason::kStaleCatalog;
     reply.error = "catalog epoch " + std::to_string(request.epoch) +
@@ -182,10 +185,11 @@ void Participant::handle_execute(const net::ExecuteOperation& request) {
   std::size_t processed = 0;
   for (; processed < request.ops.size(); ++processed) {
     const std::uint32_t op_index = request.op_indices[processed];
+    const txn::Operation& op = request.ops[processed];
     // Resolve the typed operation through the site plan cache: wait-mode
-    // resends and repeated workload operations run the cached plan — no
-    // parsing happens on this path.
-    auto plan = ctx_.plans().resolve(request.ops[processed]);
+    // resends and repeated workload operations run the cached plan, keyed
+    // by the operation's canonical text.
+    auto plan = ctx_.plans().resolve(op);
     if (!plan) {
       reply.failed = true;
       reply.reason = txn::AbortReason::kParseError;
@@ -193,7 +197,8 @@ void Participant::handle_execute(const net::ExecuteOperation& request) {
       break;
     }
     OpOutcome outcome = ctx_.locks().process_operation(
-        request.txn, op_index, *plan.value(), request.coordinator);
+        request.txn, op_index, *plan.value(), request.coordinator,
+        view->rows_source(op.doc, request.coordinator) == ctx_.options.id);
     if (outcome.kind == OpOutcome::Kind::kExecuted) {
       reply.op_indices.push_back(op_index);
       reply.rows.push_back(std::move(outcome.rows));

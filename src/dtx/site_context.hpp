@@ -273,9 +273,8 @@ struct SiteContext {
   static constexpr const char* kCatalogKey = "~catalog";
 
   /// Durably records a commit decision — one appended line, O(1) in the
-  /// log size.
-  util::Status append_commit_record(lock::TxnId txn)
-      DTX_REQUIRES(coord_mutex) {
+  /// log size. Called without coord_mutex: the store serializes appends.
+  util::Status append_commit_record(lock::TxnId txn) {
     std::string line = std::to_string(txn);
     line += '\n';
     return store.append(kCommitLogKey, line);

@@ -192,7 +192,6 @@ void TcpNetwork::send(Message message) {
   // unregistered, so the pointer stays valid after the lock; the bytes are
   // counted outside it.
   Mailbox* local = nullptr;
-  bool need_wake = false;
   {
     sync::MutexLock lock(mutex_);
     const auto it = mailboxes_.find(message.to);
@@ -212,12 +211,19 @@ void TcpNetwork::send(Message message) {
         return;
       }
       Conn& conn = *conns_.at(fd);
+      // With the connection up and nothing queued ahead (its Hello has left
+      // too), the frame leaves from this thread.
+      const bool idle = !conn.connecting && conn.out_offset == conn.out.size();
       const std::size_t before = conn.out.size();
       codec::encode(message, conn.out);
       ++stats_.messages_sent;
       ++stats_.sent_by_kind[message.payload.index()];
       stats_.bytes_sent += conn.out.size() - before;
-      need_wake = true;
+      if (idle) {
+        write_inline_locked(conn);
+      } else {
+        update_interest_locked(conn);
+      }
     }
   }
   if (local != nullptr) {
@@ -229,10 +235,22 @@ void TcpNetwork::send(Message message) {
       stats_.bytes_sent += bytes;
     }
     local->push(std::move(message), Mailbox::Clock::now());
-    return;
   }
-  // The loop thread re-arms EPOLLOUT for connections with pending bytes.
-  if (need_wake) wake();
+}
+
+void TcpNetwork::write_inline_locked(Conn& conn) {
+  // One non-blocking attempt. Whatever it leaves — a short write, EAGAIN,
+  // or an error — waits for EPOLLOUT: the loop thread writes the rest, or
+  // meets the error itself and closes the connection.
+  const ssize_t n = ::send(conn.fd, conn.out.data() + conn.out_offset,
+                           conn.out.size() - conn.out_offset,
+                           MSG_NOSIGNAL | MSG_DONTWAIT);
+  if (n > 0) conn.out_offset += static_cast<std::size_t>(n);
+  if (conn.out_offset == conn.out.size()) {
+    conn.out.clear();
+    conn.out_offset = 0;
+  }
+  update_interest_locked(conn);
 }
 
 NetworkStats TcpNetwork::stats() const {

@@ -1,6 +1,11 @@
 // TcpNetwork: the real transport — a net::Network over non-blocking TCP
 // sockets driven by one epoll event-loop thread, speaking the binary codec
-// (codec.hpp).
+// (codec.hpp). The loop thread dials, accepts, reads and delivers; a frame
+// sent on an established connection with nothing queued ahead is written
+// by the sending thread itself (one non-blocking send()), and only what
+// that write leaves waits for EPOLLOUT on the loop. Every write happens
+// under the network mutex in queue order, so each link stays FIFO and the
+// Hello stays first.
 //
 // Topology: every endpoint may listen (sites do, clients don't) and eagerly
 // dials every peer in its address book, so a pair of sites typically holds
@@ -123,6 +128,8 @@ class TcpNetwork final : public Network {
   void handle_event_locked(int fd, std::uint32_t events) DTX_REQUIRES(mutex_);
   void handle_readable_locked(Conn& conn) DTX_REQUIRES(mutex_);
   void handle_writable_locked(Conn& conn) DTX_REQUIRES(mutex_);
+  /// Writes a frame queued on an idle connection from the sending thread.
+  void write_inline_locked(Conn& conn) DTX_REQUIRES(mutex_);
   void deliver_locked(Message message) DTX_REQUIRES(mutex_);
   bool handshake_locked(Conn& conn, const Message& message)
       DTX_REQUIRES(mutex_);

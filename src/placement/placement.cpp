@@ -121,6 +121,16 @@ const std::vector<SiteId>& CatalogEpoch::sites_of(
   return it == placement.end() ? kNoSites : it->second;
 }
 
+SiteId CatalogEpoch::rows_source(const std::string& name,
+                                 SiteId coordinator) const noexcept {
+  const std::vector<SiteId>& sites = sites_of(name);
+  if (sites.empty() ||
+      std::find(sites.begin(), sites.end(), coordinator) != sites.end()) {
+    return coordinator;
+  }
+  return *std::min_element(sites.begin(), sites.end());
+}
+
 bool CatalogEpoch::has_document(const std::string& name) const {
   return placement.count(name) != 0;
 }

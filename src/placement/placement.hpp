@@ -62,6 +62,16 @@ struct CatalogEpoch {
   [[nodiscard]] const std::vector<SiteId>& sites_of(
       const std::string& name) const noexcept;
 
+  /// The rows source of a query on `name` in a transaction coordinated by
+  /// `coordinator`: the coordinator's own replica when it hosts the
+  /// document, else the lowest-id replica (`coordinator` when no site
+  /// hosts it). Every replica takes the query's locks; only this one
+  /// evaluates it, and every other replica answers with no rows. Locked
+  /// slices and snapshot reads both route by it, at the coordinator and at
+  /// the participant, so both sides read one placement per epoch.
+  [[nodiscard]] SiteId rows_source(const std::string& name,
+                                   SiteId coordinator) const noexcept;
+
   [[nodiscard]] bool has_document(const std::string& name) const;
   [[nodiscard]] bool hosts(SiteId site, const std::string& name) const;
   [[nodiscard]] bool is_member(SiteId site) const;

@@ -1,6 +1,10 @@
 #include "storage/file_store.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <fstream>
 #include <sstream>
 
@@ -13,8 +17,34 @@ FileStore::FileStore(fs::path directory) : directory_(std::move(directory)) {
   fs::create_directories(directory_, ec);
 }
 
+FileStore::~FileStore() {
+  sync::MutexLock lock(mutex_);
+  for (const auto& entry : append_fds_) ::close(entry.second);
+}
+
 fs::path FileStore::path_of(const std::string& name) const {
   return directory_ / (name + ".xml");
+}
+
+int FileStore::append_fd_locked(const std::string& name) {
+  const auto it = append_fds_.find(name);
+  if (it != append_fds_.end()) return it->second;
+  const int fd = ::open(path_of(name).c_str(),
+                        O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
+  if (fd < 0) return -1;
+  if (append_fds_.size() >= kMaxOpenAppendFiles) {
+    ::close(append_fds_.begin()->second);
+    append_fds_.erase(append_fds_.begin());
+  }
+  append_fds_.emplace(name, fd);
+  return fd;
+}
+
+void FileStore::close_append_fd_locked(const std::string& name) {
+  const auto it = append_fds_.find(name);
+  if (it == append_fds_.end()) return;
+  ::close(it->second);
+  append_fds_.erase(it);
 }
 
 util::Result<std::string> FileStore::load(const std::string& name) {
@@ -33,6 +63,7 @@ util::Status FileStore::store(const std::string& name, const std::string& xml) {
   // Write-then-rename for atomicity against crashes; the mutex keeps two
   // writers of one document from clobbering each other's .tmp staging file.
   sync::MutexLock lock(mutex_);
+  close_append_fd_locked(name);
   const fs::path final_path = path_of(name);
   const fs::path temp_path = final_path.string() + ".tmp";
   {
@@ -59,15 +90,23 @@ util::Status FileStore::store(const std::string& name, const std::string& xml) {
 util::Status FileStore::append(const std::string& name,
                                const std::string& data) {
   sync::MutexLock lock(mutex_);
-  std::ofstream out(path_of(name), std::ios::binary | std::ios::app);
-  if (!out) {
+  const int fd = append_fd_locked(name);
+  if (fd < 0) {
     return util::Status(util::Code::kUnavailable,
                         "cannot append to " + path_of(name).string());
   }
-  out << data;
-  if (!out) {
-    return util::Status(util::Code::kUnavailable,
-                        "short append to " + path_of(name).string());
+  std::size_t written = 0;
+  while (written < data.size()) {
+    const ssize_t n =
+        ::write(fd, data.data() + written, data.size() - written);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      // Reopen on the next append rather than keep a failing descriptor.
+      close_append_fd_locked(name);
+      return util::Status(util::Code::kUnavailable,
+                          "short append to " + path_of(name).string());
+    }
+    written += static_cast<std::size_t>(n);
   }
   return util::Status::ok();
 }
@@ -91,6 +130,7 @@ util::Result<std::string> FileStore::read_log(const std::string& name) {
 
 util::Status FileStore::truncate(const std::string& name) {
   sync::MutexLock lock(mutex_);
+  close_append_fd_locked(name);
   std::ofstream out(path_of(name), std::ios::binary | std::ios::trunc);
   if (!out) {
     return util::Status(util::Code::kUnavailable,
@@ -120,6 +160,7 @@ std::vector<std::string> FileStore::list() {
 
 util::Status FileStore::remove(const std::string& name) {
   sync::MutexLock lock(mutex_);
+  close_append_fd_locked(name);
   std::error_code ec;
   if (!fs::remove(path_of(name), ec) || ec) {
     return util::Status(util::Code::kNotFound,

@@ -25,6 +25,8 @@
 //    invariants end to end.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <mutex>
 #include <optional>
 #include <thread>
 
@@ -622,6 +624,93 @@ TEST(SliceTest, SilentSiteOfALaterOperationAbortsARoundThatConflicted) {
   }
   const auto ids = stored_values(cluster, 1, "d2", "/site/people/person/@id");
   EXPECT_EQ(std::count(ids.begin(), ids.end(), "t1"), 0);
+}
+
+TEST(SliceTest, OneReplicaEvaluatesEachQuery) {
+  // d1 lives at sites 0 and 1. Both replicas take a query's locks, but only
+  // its rows source evaluates it: the coordinator's own replica when it
+  // hosts d1 (site 1 for a transaction from site 1, not the lowest-id
+  // replica), else the lowest-id replica (site 0 for one from site 2). The
+  // other replica answers with no rows. Snapshot reads are off, so the
+  // read-only transactions take the locked path; CommitRequests are held
+  // back until the test has seen each remote replica hold the locks.
+  // Declared before the cluster, which calls the filter below until it
+  // is destroyed.
+  std::mutex mutex;
+  std::vector<net::Message> replies;
+  std::atomic<bool> hold_commits{true};
+
+  ClusterOptions options = fast_options(3);
+  options.site.snapshot_reads = false;
+  options.site.orphan_txn_timeout = std::chrono::hours(1);
+  options.site.commit_ack_rounds = 100;
+  Cluster cluster(options);
+  ASSERT_TRUE(cluster.load_document("d1", kPeopleXml, {0, 1}).is_ok());
+  ASSERT_TRUE(cluster.start().is_ok());
+  cluster.network().faults([&](net::FaultPlan& plan) {
+    plan.set_message_filter([&](const net::Message& message) {
+      if (std::holds_alternative<net::OperationResult>(message.payload)) {
+        std::lock_guard<std::mutex> lock(mutex);
+        replies.push_back(message);
+      }
+      return hold_commits.load() &&
+             std::holds_alternative<net::CommitRequest>(message.payload);
+    });
+  });
+  const auto reply_of = [&](lock::TxnId txn,
+                            net::SiteId from) -> std::optional<net::Message> {
+    std::lock_guard<std::mutex> lock(mutex);
+    for (const net::Message& message : replies) {
+      if (message.from == from &&
+          std::get<net::OperationResult>(message.payload).txn == txn) {
+        return message;
+      }
+    }
+    return std::nullopt;
+  };
+  const std::vector<std::vector<std::string>> expected = {{"111", "222"},
+                                                          {"Ana", "Bruno"}};
+
+  for (const auto& [coordinator, source] :
+       {std::pair<net::SiteId, net::SiteId>{2, 0}, {1, 1}}) {
+    SCOPED_TRACE("coordinator " + std::to_string(coordinator));
+    hold_commits = true;
+    auto t = cluster.submit_text(coordinator,
+                                 {"query d1 /site/people/person/phone",
+                                  "query d1 /site/people/person/name"});
+    ASSERT_TRUE(t.is_ok());
+    const lock::TxnId id = t.value()->id();
+    const auto answered_by = std::chrono::steady_clock::now() + 2s;
+    while ((!reply_of(id, 0) || !reply_of(id, 1)) &&
+           std::chrono::steady_clock::now() < answered_by) {
+      std::this_thread::sleep_for(1ms);
+    }
+    for (net::SiteId site : {0u, 1u}) {
+      const std::optional<net::Message> message = reply_of(id, site);
+      ASSERT_TRUE(message.has_value()) << "site " << site;
+      const auto& reply = std::get<net::OperationResult>(message->payload);
+      EXPECT_EQ(reply.op_indices, (std::vector<std::uint32_t>{0, 1}));
+      if (site == source) {
+        EXPECT_EQ(reply.rows, expected) << "site " << site;
+      } else {
+        EXPECT_EQ(reply.rows, (std::vector<std::vector<std::string>>{{}, {}}))
+            << "site " << site;
+      }
+      // Every replica that is not the coordinator's own still holds the
+      // queries' locks: no CommitRequest has reached it.
+      if (site != coordinator) {
+        EXPECT_GT(cluster.site(site).lock_manager().lock_entries(), 0u)
+            << "site " << site;
+      }
+    }
+    hold_commits = false;
+    const txn::TxnResult result = t.value()->await();
+    EXPECT_EQ(result.state, TxnState::kCommitted) << result.detail;
+    EXPECT_EQ(result.rows, expected);
+    for (net::SiteId site : {0u, 1u, 2u}) {
+      EXPECT_TRUE(drained(cluster.site(site), 2000ms));
+    }
+  }
 }
 
 // --- recovery sync -----------------------------------------------------------

@@ -430,5 +430,56 @@ TEST(FileStoreTest, ConcurrentAppendsKeepRecordsWhole) {
   fs::remove_all(dir);
 }
 
+// FileStore keeps one open append descriptor per log. store() replaces the
+// file by a rename and remove() unlinks it, so an append after either must
+// reach the new file, not the old inode; after truncate() it must start the
+// emptied log. A second FileStore on the directory sees what a restarted
+// site would.
+TEST(FileStoreTest, AppendAfterStoreTruncateOrRemoveWritesTheNewFile) {
+  const fs::path dir = fs::temp_directory_path() / "dtx_storage_reuse_test";
+  fs::remove_all(dir);
+  {
+    FileStore store(dir);
+    for (const char* key : {"stored", "truncated", "removed"}) {
+      ASSERT_TRUE(store.append(key, "a1;").is_ok());
+    }
+    ASSERT_TRUE(store.store("stored", "s;").is_ok());
+    ASSERT_TRUE(store.truncate("truncated").is_ok());
+    ASSERT_TRUE(store.remove("removed").is_ok());
+    for (const char* key : {"stored", "truncated", "removed"}) {
+      ASSERT_TRUE(store.append(key, "a2;").is_ok());
+    }
+    FileStore reader(dir);
+    EXPECT_EQ(reader.read_log("stored").value(), "s;a2;");
+    EXPECT_EQ(reader.read_log("truncated").value(), "a2;");
+    EXPECT_EQ(reader.read_log("removed").value(), "a2;");
+  }
+  FileStore reopened(dir);
+  EXPECT_EQ(reopened.read_log("stored").value(), "s;a2;");
+  fs::remove_all(dir);
+}
+
+// More logs than FileStore keeps open: appends to a log whose descriptor
+// was closed to make room reopen it and land after its earlier records.
+TEST(FileStoreTest, AppendsBeyondTheOpenFileBoundStayWhole) {
+  const fs::path dir = fs::temp_directory_path() / "dtx_storage_bound_test";
+  fs::remove_all(dir);
+  FileStore store(dir);
+  const std::size_t logs = FileStore::kMaxOpenAppendFiles + 3;
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i < logs; ++i) {
+      ASSERT_TRUE(
+          store.append("log" + std::to_string(i), std::to_string(round) + ";")
+              .is_ok());
+    }
+  }
+  FileStore reader(dir);
+  for (std::size_t i = 0; i < logs; ++i) {
+    EXPECT_EQ(reader.read_log("log" + std::to_string(i)).value(), "0;1;")
+        << "log" << i;
+  }
+  fs::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace dtx::storage

@@ -15,6 +15,7 @@
 #include <string>
 #include <thread>
 #include <variant>
+#include <vector>
 
 #include "client/remote_session.hpp"
 #include "net/codec.hpp"
@@ -307,6 +308,72 @@ TEST(TcpNetworkTest, MessagesToThePastPeerDropAfterItsConnectionDies) {
   // reply ever comes. The send must at least not crash; when the route is
   // gone the drop is counted.
   EXPECT_GE(pair->listener->stats().messages_dropped, dropped_before);
+}
+
+TEST(TcpNetworkTest, ConcurrentSendersKeepPerLinkOrder) {
+  // Several threads send numbered messages down one link at once. Every
+  // twentieth frame is larger than a socket send buffer can grow (4 MB on
+  // Linux by default), so the sending thread's write of it is partial and
+  // the loop thread finishes it while the others keep queueing behind.
+  // Each sender's sequence must arrive complete and in order.
+  REQUIRE_LOOPBACK();
+  auto pair = LoopbackPair::make();
+  ASSERT_NE(pair, nullptr);
+  ASSERT_TRUE(pair->wait_connected());
+
+  constexpr std::uint32_t kSenders = 3;
+  constexpr std::uint32_t kPerSender = 60;
+  constexpr std::uint32_t kLargeEvery = 20;
+  constexpr std::size_t kLargeBytes = 5u << 20;
+  std::vector<std::thread> senders;
+  for (std::uint32_t sender = 0; sender < kSenders; ++sender) {
+    senders.emplace_back([&pair, sender] {
+      for (std::uint32_t seq = 0; seq < kPerSender; ++seq) {
+        OperationResult result;
+        result.txn = sender;
+        result.attempt = seq;
+        result.op_indices = {seq};
+        result.rows = {{seq % kLargeEvery == 0
+                            ? std::string(kLargeBytes, 'a' + sender)
+                            : std::to_string(seq)}};
+        pair->dialer->send(Message{1, 0, std::move(result)});
+      }
+    });
+  }
+
+  std::vector<std::uint32_t> next(kSenders, 0);
+  std::uint32_t received = 0;
+  bool in_order = true;
+  const auto deadline = std::chrono::steady_clock::now() + 30s;
+  while (received < kSenders * kPerSender &&
+         std::chrono::steady_clock::now() < deadline) {
+    auto message = pair->listener_box->pop(1s);
+    if (!message.has_value()) continue;
+    const auto& result = std::get<OperationResult>(message->payload);
+    if (result.txn >= kSenders) {
+      ADD_FAILURE() << "unknown sender " << result.txn;
+      continue;
+    }
+    const std::uint32_t sender = static_cast<std::uint32_t>(result.txn);
+    in_order &= result.attempt == next[sender];
+    next[sender] = result.attempt + 1;
+    const std::string& row = result.rows.at(0).at(0);
+    if (result.attempt % kLargeEvery == 0) {
+      EXPECT_TRUE(row == std::string(kLargeBytes, 'a' + sender))
+          << "large frame of sender " << sender << " arrived with "
+          << row.size() << " bytes";
+    } else {
+      EXPECT_EQ(row, std::to_string(result.attempt));
+    }
+    ++received;
+  }
+  for (std::thread& thread : senders) thread.join();
+  EXPECT_TRUE(in_order);
+  EXPECT_EQ(received, kSenders * kPerSender);
+  for (std::uint32_t sender = 0; sender < kSenders; ++sender) {
+    EXPECT_EQ(next[sender], kPerSender) << "sender " << sender;
+  }
+  EXPECT_EQ(pair->dialer->stats().messages_dropped, 0u);
 }
 
 TEST(TcpNetworkTest, LocalSendsBypassTheWire) {
