@@ -37,14 +37,14 @@ Result<RoutingPolicy::Kind> parse_routing_kind(std::string_view name) {
 Result<txn::TxnResult> TxnHandle::await_for(
     std::chrono::microseconds timeout) {
   if (!valid()) return Status(Code::kInternal, "empty transaction handle");
-  auto result = txn_->await_for(timeout);
-  if (!result.has_value()) {
+  std::shared_ptr<const txn::TxnResult> result = txn_->await_for(timeout);
+  if (result == nullptr) {
     return Status(Code::kTimeout,
                   "transaction " + std::to_string(txn_->id()) +
                       " still running after " +
                       std::to_string(timeout.count()) + "us");
   }
-  return std::move(*result);
+  return *result;
 }
 
 txn::TxnResult TxnHandle::await() {

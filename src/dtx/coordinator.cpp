@@ -322,17 +322,20 @@ void Coordinator::execute_snapshot(const TransactionPtr& txn) {
     request.ops.push_back(op);
   }
 
-  std::set<SiteId> remote;
+  // Remote requests move into the network; each leaves behind the index of
+  // its first operation, which names it in a timeout error.
+  std::map<SiteId, std::uint32_t> remote;
   for (const auto& [site, request] : groups) {
-    (void)request;
-    if (site != ctx_.options.id) remote.insert(site);
+    if (site != ctx_.options.id) {
+      remote.emplace(site, request.op_indices.front());
+    }
   }
   if (!remote.empty()) {
     sync::MutexLock lock(ctx_.resp_mutex);
     ctx_.snapshot_replies[txn->id()].clear();
   }
-  for (const auto& [site, request] : groups) {
-    if (site != ctx_.options.id) ctx_.send(site, request);
+  for (auto& [site, request] : groups) {
+    if (site != ctx_.options.id) ctx_.send(site, std::move(request));
   }
 
   // Serve the local group inline while remote sites work in parallel.
@@ -345,18 +348,13 @@ void Coordinator::execute_snapshot(const TransactionPtr& txn) {
   }
   if (!remote.empty()) {
     std::map<SiteId, net::SnapshotReadReply> collected =
-        await_snapshot_replies(txn->id(), remote);
-    {
-      sync::MutexLock lock(ctx_.resp_mutex);
-      ctx_.snapshot_replies.erase(txn->id());
-    }
+        await_snapshot_replies(txn->id(), remote.size());
     if (!ctx_.running.load()) return;  // halt() completes the txn
     if (collected.size() != remote.size()) {
       txn->set_abort_reason(txn::AbortReason::kSiteFailure);
-      for (const auto& [site, request] : groups) {
-        if (site != ctx_.options.id && collected.count(site) == 0) {
-          txn::OperationState& state =
-              txn->state_of(request.op_indices.front());
+      for (const auto& [site, first_op] : remote) {
+        if (collected.count(site) == 0) {
+          txn::OperationState& state = txn->state_of(first_op);
           state.failed = true;
           state.reason = txn::AbortReason::kSiteFailure;
           state.error = "snapshot-read timeout (site " +
@@ -488,15 +486,18 @@ std::map<SiteId, bool> Coordinator::await_acks(TxnId txn,
 }
 
 std::map<SiteId, net::SnapshotReadReply> Coordinator::await_snapshot_replies(
-    TxnId txn, const std::set<SiteId>& expected) {
+    TxnId txn, std::size_t expected) {
   const auto deadline = Clock::now() + ctx_.options.response_timeout;
   sync::MutexLock lock(ctx_.resp_mutex);
   for (;;) {
     const auto it = ctx_.snapshot_replies.find(txn);
     if (it == ctx_.snapshot_replies.end()) return {};
-    if (it->second.size() >= expected.size()) return it->second;
-    if (!ctx_.running.load() || Clock::now() >= deadline) {
-      return it->second;  // partial (timeout / shutdown)
+    // Partial replies on timeout or shutdown.
+    if (it->second.size() >= expected || !ctx_.running.load() ||
+        Clock::now() >= deadline) {
+      std::map<SiteId, net::SnapshotReadReply> replies = std::move(it->second);
+      ctx_.snapshot_replies.erase(it);
+      return replies;
     }
     ctx_.resp_cv.wait_until(ctx_.resp_mutex, deadline);
   }
@@ -730,7 +731,8 @@ void Coordinator::finish_transaction(const TransactionPtr& txn,
   }
   result.rows.reserve(txn->op_count());
   for (std::size_t i = 0; i < txn->op_count(); ++i) {
-    result.rows.push_back(txn->state_of(i).rows);
+    // The transaction is over: its rows move to the client, uncopied.
+    result.rows.push_back(std::move(txn->state_of(i).rows));
     if (result.detail.empty() && !txn->state_of(i).error.empty()) {
       result.detail = "operation " + std::to_string(i) + ": " +
                       txn->state_of(i).error;

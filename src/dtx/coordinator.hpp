@@ -91,10 +91,11 @@ class Coordinator {
                                     const std::set<SiteId>& expected,
                                     bool commit);
 
-  /// Blocks until every serving site answered the snapshot read or the
-  /// response timeout elapsed. Returns the replies collected.
+  /// Blocks until `expected` serving sites answered the snapshot read of
+  /// `txn` or the response timeout elapsed, then drops the transaction's
+  /// reply slot and moves out the replies it collected.
   std::map<SiteId, net::SnapshotReadReply> await_snapshot_replies(
-      lock::TxnId txn, const std::set<SiteId>& expected);
+      lock::TxnId txn, std::size_t expected);
 
   SiteContext& ctx_;
 };

@@ -128,7 +128,15 @@ SiteId CatalogEpoch::rows_source(const std::string& name,
       std::find(sites.begin(), sites.end(), coordinator) != sites.end()) {
     return coordinator;
   }
-  return *std::min_element(sites.begin(), sites.end());
+  // The replica of rank coordinator % |sites| in ascending id order,
+  // whatever order the hosting set was written in (sets are a few sites).
+  const std::size_t rank = coordinator % sites.size();
+  for (SiteId site : sites) {
+    const auto below = std::count_if(
+        sites.begin(), sites.end(), [&](SiteId other) { return other < site; });
+    if (static_cast<std::size_t>(below) == rank) return site;
+  }
+  return sites.front();  // unreachable for a set of distinct sites
 }
 
 bool CatalogEpoch::has_document(const std::string& name) const {

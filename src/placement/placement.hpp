@@ -64,11 +64,14 @@ struct CatalogEpoch {
 
   /// The rows source of a query on `name` in a transaction coordinated by
   /// `coordinator`: the coordinator's own replica when it hosts the
-  /// document, else the lowest-id replica (`coordinator` when no site
-  /// hosts it). Every replica takes the query's locks; only this one
-  /// evaluates it, and every other replica answers with no rows. Locked
-  /// slices and snapshot reads both route by it, at the coordinator and at
-  /// the participant, so both sides read one placement per epoch.
+  /// document, else the replica at index `coordinator % hosting.size()` of
+  /// the hosting set in ascending site order (`coordinator` when no site
+  /// hosts it). Foreign coordinators thus spread their reads over every
+  /// replica, while each one reads a given document from one fixed replica
+  /// per epoch (monotonic reads). Every replica takes the query's locks;
+  /// only this one evaluates it, and every other replica answers with no
+  /// rows. Locked slices and snapshot reads both route by it, at the
+  /// coordinator and at the participant, so both sides agree.
   [[nodiscard]] SiteId rows_source(const std::string& name,
                                    SiteId coordinator) const noexcept;
 

@@ -37,50 +37,57 @@ std::size_t Transaction::next_operation() const {
 
 void Transaction::complete(TxnResult result) {
   std::function<void(const TxnResult&)> hook;
+  std::shared_ptr<const TxnResult> published;
   {
     sync::MutexLock lock(latch_mutex_);
-    if (done_) return;  // first completion wins (e.g. abort vs late commit)
-    done_ = true;
-    result_ = std::move(result);
+    // First completion wins (e.g. abort vs late commit).
+    if (result_ != nullptr) return;
+    result_ = std::make_shared<const TxnResult>(std::move(result));
+    published = result_;
     hook = std::move(on_complete_);
     on_complete_ = nullptr;
   }
   latch_cv_.notify_all();
-  if (hook) hook(result_);
+  if (hook) hook(*published);
 }
 
 void Transaction::set_on_complete(
     std::function<void(const TxnResult&)> hook) {
-  bool fire = false;
+  std::shared_ptr<const TxnResult> published;
   {
     sync::MutexLock lock(latch_mutex_);
-    if (done_) {
-      fire = true;
-    } else {
+    if (result_ == nullptr) {
       on_complete_ = std::move(hook);
+      return;
     }
+    published = result_;
   }
-  if (fire && hook) hook(result_);
+  if (hook) hook(*published);
 }
 
 TxnResult Transaction::await() {
-  sync::MutexLock lock(latch_mutex_);
-  latch_cv_.wait(latch_mutex_, [&] { return done_; });
-  return result_;
+  std::shared_ptr<const TxnResult> published;
+  {
+    sync::MutexLock lock(latch_mutex_);
+    latch_cv_.wait(latch_mutex_, [&] { return result_ != nullptr; });
+    published = result_;
+  }
+  return *published;
 }
 
-std::optional<TxnResult> Transaction::await_for(
+std::shared_ptr<const TxnResult> Transaction::await_for(
     std::chrono::microseconds timeout) {
   sync::MutexLock lock(latch_mutex_);
-  if (!latch_cv_.wait_for(latch_mutex_, timeout, [&] { return done_; })) {
-    return std::nullopt;
+  if (!latch_cv_.wait_for(latch_mutex_, timeout,
+                          [&] { return result_ != nullptr; })) {
+    return nullptr;
   }
   return result_;
 }
 
 bool Transaction::completed() const {
   sync::MutexLock lock(latch_mutex_);
-  return done_;
+  return result_ != nullptr;
 }
 
 }  // namespace dtx::txn

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -139,7 +138,9 @@ class Transaction {
   }
 
   // --- completion latch ------------------------------------------------------
-  /// Publishes the final result and wakes the client.
+  /// Publishes the final result and wakes the client. The result is stored
+  /// once, as an immutable shared object: every reader below shares it, so
+  /// its rows are never copied on the way out.
   void complete(TxnResult result);
   /// Registers a hook fired once, with the final result, when the
   /// transaction terminates — the push-style counterpart of await() (the
@@ -149,12 +150,15 @@ class Transaction {
   /// completing thread, outside the latch, so it may call back into the
   /// engine but must not block.
   void set_on_complete(std::function<void(const TxnResult&)> hook);
-  /// Blocks the client until the transaction terminates.
+  /// Blocks the client until the transaction terminates; returns a copy of
+  /// the result.
   TxnResult await();
-  /// Bounded wait: the result, or std::nullopt when `timeout` elapses
-  /// first (the transaction keeps running; call again or abandon the
-  /// handle). Prefer this over await() in anything user-facing.
-  std::optional<TxnResult> await_for(std::chrono::microseconds timeout);
+  /// Bounded wait: the published result, or nullptr when `timeout`
+  /// elapses first (the transaction keeps running; call again or abandon
+  /// the handle). Every call after completion returns the same object.
+  /// Prefer this over await() in anything user-facing.
+  std::shared_ptr<const TxnResult> await_for(
+      std::chrono::microseconds timeout);
   [[nodiscard]] bool completed() const;
 
  private:
@@ -170,10 +174,9 @@ class Transaction {
 
   mutable sync::Mutex latch_mutex_{sync::LockRank::kTxnLatch};
   sync::CondVar latch_cv_;
-  bool done_ DTX_GUARDED_BY(latch_mutex_) = false;
-  // Written once under the latch by complete(); read lock-free afterwards
-  // (await returns it after observing done_, the hook runs post-publish).
-  TxnResult result_;
+  // Null until complete() sets it, once; immutable afterwards, so readers
+  // share it without the latch once they hold the pointer.
+  std::shared_ptr<const TxnResult> result_ DTX_GUARDED_BY(latch_mutex_);
   std::function<void(const TxnResult&)> on_complete_
       DTX_GUARDED_BY(latch_mutex_);
 };

@@ -630,17 +630,18 @@ TEST(SliceTest, OneReplicaEvaluatesEachQuery) {
   // d1 lives at sites 0 and 1. Both replicas take a query's locks, but only
   // its rows source evaluates it: the coordinator's own replica when it
   // hosts d1 (site 1 for a transaction from site 1, not the lowest-id
-  // replica), else the lowest-id replica (site 0 for one from site 2). The
-  // other replica answers with no rows. Snapshot reads are off, so the
-  // read-only transactions take the locked path; CommitRequests are held
-  // back until the test has seen each remote replica hold the locks.
+  // replica), else the replica at index coordinator % 2 of {0, 1} (site 0
+  // for one from site 2, site 1 for one from site 3). The other replica
+  // answers with no rows. Snapshot reads are off, so the read-only
+  // transactions take the locked path; CommitRequests are held back until
+  // the test has seen each remote replica hold the locks.
   // Declared before the cluster, which calls the filter below until it
   // is destroyed.
   std::mutex mutex;
   std::vector<net::Message> replies;
   std::atomic<bool> hold_commits{true};
 
-  ClusterOptions options = fast_options(3);
+  ClusterOptions options = fast_options(4);
   options.site.snapshot_reads = false;
   options.site.orphan_txn_timeout = std::chrono::hours(1);
   options.site.commit_ack_rounds = 100;
@@ -672,7 +673,7 @@ TEST(SliceTest, OneReplicaEvaluatesEachQuery) {
                                                           {"Ana", "Bruno"}};
 
   for (const auto& [coordinator, source] :
-       {std::pair<net::SiteId, net::SiteId>{2, 0}, {1, 1}}) {
+       {std::pair<net::SiteId, net::SiteId>{2, 0}, {3, 1}, {1, 1}}) {
     SCOPED_TRACE("coordinator " + std::to_string(coordinator));
     hold_commits = true;
     auto t = cluster.submit_text(coordinator,
@@ -707,7 +708,7 @@ TEST(SliceTest, OneReplicaEvaluatesEachQuery) {
     const txn::TxnResult result = t.value()->await();
     EXPECT_EQ(result.state, TxnState::kCommitted) << result.detail;
     EXPECT_EQ(result.rows, expected);
-    for (net::SiteId site : {0u, 1u, 2u}) {
+    for (net::SiteId site : {0u, 1u, 2u, 3u}) {
       EXPECT_TRUE(drained(cluster.site(site), 2000ms));
     }
   }

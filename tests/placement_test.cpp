@@ -193,6 +193,30 @@ TEST(CatalogEpochTest, TextRoundTrip) {
   EXPECT_EQ(round.placement, epoch.placement);
 }
 
+TEST(CatalogEpochTest, RowsSourceSpreadsForeignCoordinatorsOverReplicas) {
+  struct Case {
+    std::vector<net::SiteId> hosting;
+    net::SiteId coordinator;
+    net::SiteId source;
+  };
+  // A hosting coordinator reads its own replica; a foreign one reads the
+  // replica at index coordinator % |hosting| in ascending site order,
+  // however the hosting set was written; no host leaves the coordinator.
+  const std::vector<Case> cases = {
+      {{0, 1}, 0, 0}, {{0, 1}, 1, 1}, {{0, 1}, 2, 0}, {{0, 1}, 3, 1},
+      {{0, 1}, 4, 0}, {{0, 1}, 5, 1}, {{1, 0}, 1, 1}, {{1, 0}, 2, 0},
+      {{1, 0}, 3, 1}, {{1, 0}, 4, 0}, {{1, 0}, 5, 1}, {{}, 3, 3},
+  };
+  for (const Case& c : cases) {
+    CatalogEpoch epoch;
+    epoch.placement["d1"] = c.hosting;
+    std::string hosting;
+    for (net::SiteId site : c.hosting) hosting += std::to_string(site) + " ";
+    EXPECT_EQ(epoch.rows_source("d1", c.coordinator), c.source)
+        << "hosting {" << hosting << "}, coordinator " << c.coordinator;
+  }
+}
+
 TEST(CatalogEpochTest, InstallRequiresStrictlyNewer) {
   Catalog catalog;
   ASSERT_TRUE(catalog.add_document("d1", {0, 1}).is_ok());

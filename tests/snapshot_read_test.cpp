@@ -99,6 +99,39 @@ TEST(SnapshotReadTest, RemoteServingPathAnswersForUnhostedDocuments) {
   EXPECT_GE(cluster.stats().snapshot_txns, 1u);
 }
 
+TEST(SnapshotReadTest, ForeignCoordinatorsSpreadOverReplicas) {
+  // d1 lives at sites 0 and 1 of four. Sites 2 and 3 host nothing, so each
+  // reads d1 from a remote replica — a different one each, so both copies
+  // of d1 serve reads (CatalogEpoch::rows_source).
+  Cluster cluster(fast_options(4));
+  ASSERT_TRUE(cluster.load_document("d1", kPeopleXml, {0, 1}).is_ok());
+  ASSERT_TRUE(cluster.start().is_ok());
+
+  std::vector<std::uint64_t> before;
+  for (net::SiteId site = 0; site < 4; ++site) {
+    before.push_back(cluster.site(site).stats().snapshots.reads);
+  }
+  for (int round = 0; round < 3; ++round) {
+    for (net::SiteId coordinator : {2u, 3u}) {
+      auto read = cluster.execute_text(
+          coordinator, {"query d1 /site/people/person/name"});
+      ASSERT_TRUE(read.is_ok());
+      ASSERT_EQ(read.value().state, TxnState::kCommitted);
+      EXPECT_EQ(read.value().rows,
+                (std::vector<std::vector<std::string>>{{"Ana", "Bruno"}}));
+    }
+  }
+  for (net::SiteId site = 0; site < 4; ++site) {
+    const std::uint64_t served =
+        cluster.site(site).stats().snapshots.reads - before[site];
+    if (site < 2) {
+      EXPECT_GT(served, 0u) << "replica " << site << " served no read";
+    } else {
+      EXPECT_EQ(served, 0u) << "site " << site << " hosts nothing";
+    }
+  }
+}
+
 TEST(SnapshotReadTest, ReadOnlyTxnsAcquireZeroLocksAndNoWfgEntries) {
   Cluster cluster(fast_options(2));
   ASSERT_TRUE(cluster.load_document("d1", kPeopleXml, {0, 1}).is_ok());

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <thread>
 
 #include "txn/abort_reason.hpp"
@@ -219,6 +220,51 @@ TEST(TransactionTest, FirstCompletionWins) {
   committed.state = TxnState::kCommitted;
   txn.complete(std::move(committed));  // ignored
   EXPECT_EQ(txn.await().state, TxnState::kAborted);
+}
+
+TEST(TransactionTest, AwaitForSharesOnePublishedResult) {
+  using namespace std::chrono_literals;
+  Transaction txn(make_txn_id(1, 0), two_ops());
+  EXPECT_EQ(txn.await_for(1ms), nullptr) << "not completed yet";
+  TxnResult result;
+  result.id = txn.id();
+  result.state = TxnState::kCommitted;
+  result.rows = {{"Ana", "Bruno"}, {}};
+  txn.complete(std::move(result));
+
+  const std::shared_ptr<const TxnResult> a = txn.await_for(1ms);
+  const std::shared_ptr<const TxnResult> b = txn.await_for(1ms);
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a.get(), b.get()) << "both waiters share the published result";
+  EXPECT_EQ(a->rows, (std::vector<std::vector<std::string>>{{"Ana", "Bruno"},
+                                                            {}}));
+  // await() still hands out a value of its own.
+  const TxnResult copy = txn.await();
+  EXPECT_EQ(copy.state, TxnState::kCommitted);
+  EXPECT_EQ(copy.rows, a->rows);
+}
+
+TEST(TransactionTest, CompletionHookAndAwaiterSeeEqualRows) {
+  Transaction txn(make_txn_id(1, 0), two_ops());
+  std::vector<std::vector<std::string>> hooked;
+  txn.set_on_complete(
+      [&](const TxnResult& result) { hooked = result.rows; });
+  std::shared_ptr<const TxnResult> awaited;
+  std::thread waiter(
+      [&] { awaited = txn.await_for(std::chrono::seconds(10)); });
+  std::thread completer([&] {
+    TxnResult result;
+    result.id = txn.id();
+    result.state = TxnState::kCommitted;
+    result.rows = {{"111", "222"}, {"Ana"}};
+    txn.complete(std::move(result));
+  });
+  completer.join();
+  waiter.join();
+  ASSERT_NE(awaited, nullptr);
+  EXPECT_EQ(hooked, awaited->rows);
+  EXPECT_EQ(hooked,
+            (std::vector<std::vector<std::string>>{{"111", "222"}, {"Ana"}}));
 }
 
 }  // namespace
